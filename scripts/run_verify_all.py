@@ -6,7 +6,9 @@ Usage: python scripts/run_verify_all.py [--seed N] [--out report.json]
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 from cstrans.cli import RunConfig, run
 
@@ -19,21 +21,23 @@ def main() -> int:
 
     combined = {}
     worst = 0
-    for command in ("factorize", "verify-lemma1", "verify-lemma2", "verify-bound", "norm-estimate"):
-        out = f"/tmp/cstrans-{command}.json"
-        code = run(RunConfig(command, seed=args.seed, output=out))
-        worst = max(worst, code)
-        doc = json.load(open(out))
-        combined[command] = doc
-        n_pass = sum(1 for r in doc["reports"] if r.get("pass", True))
-        print(f"{command:16s} exit={code} cases={len(doc['reports'])} passed={n_pass}")
-        for rep in doc["reports"]:
-            lower = rep.get("lower")
-            bound = rep.get("bound")
-            detail = ""
-            if lower is not None and bound is not None:
-                detail = f" lower={lower:.6f} bound={bound:.6f}"
-            print(f"    {'ok' if rep.get('pass', True) else 'FAIL'} {rep['claim'][:70]}{detail}")
+    with tempfile.TemporaryDirectory(prefix="cstrans-") as tmp:
+        for command in ("factorize", "verify-lemma1", "verify-lemma2", "verify-bound", "norm-estimate"):
+            out = os.path.join(tmp, f"{command}.json")
+            code = run(RunConfig(command, seed=args.seed, output=out))
+            worst = max(worst, code)
+            with open(out, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            combined[command] = doc
+            n_pass = sum(1 for r in doc["reports"] if r.get("pass", True))
+            print(f"{command:16s} exit={code} cases={len(doc['reports'])} passed={n_pass}")
+            for rep in doc["reports"]:
+                lower = rep.get("lower")
+                bound = rep.get("bound")
+                detail = ""
+                if lower is not None and bound is not None:
+                    detail = f" lower={lower:.6f} bound={bound:.6f}"
+                print(f"    {'ok' if rep.get('pass', True) else 'FAIL'} {rep['claim'][:70]}{detail}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(combined, fh, sort_keys=True, indent=2)

@@ -9,7 +9,6 @@ from .circle import (
     NonConvergenceError,
     QuadratureGrid,
     grid_integrate,
-    mobius_compose_self,
     mobius_eval,
     refine_until_stable,
 )
@@ -23,15 +22,12 @@ from .disk_algebra import (
 )
 from .kernel_op import (
     RadialScheme,
-    SupNormScan,
     monomial_radial_limits,
     p_lambda_closed_form,
     p_phi_at,
     p_phi_at_stable,
     p_phi_exact_at,
     p_phi_radial_limit,
-    p_phi_sup_norm,
-    p_phi_sup_scan,
 )
 from .measures import (
     AtomicMeasure,
@@ -56,7 +52,6 @@ from .norm_engine import (
     knorm_lower,
     pairing,
     pairing_quadrature,
-    pairing_quadrature_stable,
     pairing_radial,
     sharpness_scan,
     verify_eq1,

@@ -89,6 +89,17 @@ def _require_closed_disk(z, tol: float = CLOSED_DISK_TOL) -> None:
         raise ValueError("argument lies outside the closed unit disk")
 
 
+def mobius_lambda(a, z, scale=None):
+    """``lambda_a(z) = (a - z)/(1 - conj(a) z)`` with no checks, scalar or array ``z``.
+
+    A ``scale`` multiplies the numerator before the division, as the
+    residue formula evaluates its pole ``r lambda_a(zeta)``.
+    """
+    denom = 1.0 - np.conjugate(a) * z
+    # One expression, so numpy divides into the numerator's temporary array.
+    return (a - z if scale is None else scale * (a - z)) / denom
+
+
 def mobius_eval(m: MobiusMap, z):
     """Evaluate lambda_a at ``z`` (scalar or array) with |z| <= 1.
 
@@ -98,15 +109,9 @@ def mobius_eval(m: MobiusMap, z):
     """
     _require_closed_disk(z)
     a = m.a.value
-    denom = 1.0 - np.conjugate(a) * z
-    if np.min(np.abs(denom)) < 1e-15:
+    if np.min(np.abs(1.0 - np.conjugate(a) * z)) < 1e-15:
         raise ArithmeticError("Möbius denominator vanished on the closed disk")
-    return (a - z) / denom
-
-
-def mobius_compose_self(m: MobiusMap, z):
-    """lambda_a(lambda_a(z)); equals z up to rounding since lambda_a is an involution."""
-    return mobius_eval(m, mobius_eval(m, z))
+    return mobius_lambda(a, z)
 
 
 @dataclass(frozen=True)

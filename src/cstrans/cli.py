@@ -30,7 +30,7 @@ from .fixtures import standard_fixtures
 from .kernel_op import p_lambda_closed_form, p_phi_at_stable
 from .measures import AtomicMeasure, measure_from_obj, measure_to_obj
 from .norm_engine import (
-    PreconditionError,
+    DEFAULT_TOLERANCES,
     knorm_bracket,
     sharpness_scan,
     verify_eq1,
@@ -55,14 +55,6 @@ COMMANDS = (
     "norm-estimate",
     "sharpness-scan",
 )
-
-DEFAULT_TOLERANCES = {
-    "pass_margin": 1e-8,       # verifier ceiling slack
-    "kernel_compare": 1e-10,   # closed form vs quadrature
-    "sandwich": 1e-9,          # bracket consistency
-    "factorize_residual": 1e-12,
-    "base_point": 1e-14,
-}
 
 
 class FixtureError(ValueError):
@@ -151,173 +143,134 @@ def _map_label(phi: DiskSelfMap) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _run_verify_bound(cfg: RunConfig, measures, maps, cases) -> list[dict]:
-    reports = []
-    for i, case in enumerate(cases):
-        mu = _case_measure(case, measures, i)
-        phi = _case_self_map(case, maps, i)
-        rep = verify_eq1(
-            mu, phi, cfg.degree_cap, cfg.restarts, cfg.seed, cfg.tol("pass_margin")
+# Each handler turns case ``i`` into one report object.
+
+def _run_verifier(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
+    mu = _case_measure(case, measures, i)
+    common = (cfg.degree_cap, cfg.restarts, cfg.seed, cfg.tol("pass_margin"))
+    if cfg.command == "verify-lemma2":
+        report = verify_lemma2(mu, _case_complex(case, "a", i), *common)
+    elif cfg.command == "verify-lemma1":
+        report = verify_lemma1(mu, _case_self_map(case, maps, i), *common)
+    else:
+        report = verify_eq1(
+            mu, _case_self_map(case, maps, i), *common,
+            cfg.tol("factorize_residual"), cfg.tol("base_point"),
         )
-        reports.append(rep.to_obj())
-    return reports
+    return report.to_obj()
 
 
-def _run_verify_lemma2(cfg: RunConfig, measures, maps, cases) -> list[dict]:
-    reports = []
-    for i, case in enumerate(cases):
-        mu = _case_measure(case, measures, i)
-        a = _case_complex(case, "a", i)
-        rep = verify_lemma2(
-            mu, a, cfg.degree_cap, cfg.restarts, cfg.seed, cfg.tol("pass_margin")
-        )
-        reports.append(rep.to_obj())
-    return reports
+def _run_factorize(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
+    phi = _case_self_map(case, maps, i)
+    t0 = time.perf_counter()
+    base, psi = schwarz_factorize(phi)
+    residual = factorization_residual(phi, base, psi)
+    psi0 = abs(psi.at_zero())
+    passed = residual <= cfg.tol("factorize_residual") and psi0 <= cfg.tol("base_point")
+    return {
+        "claim": f"factorization of {_map_label(phi)}",
+        "inputs": {"phi": self_map_to_obj(phi)},
+        "a": [base.value.real, base.value.imag],
+        "psi_at_zero": psi0,
+        "reconstruction_residual": residual,
+        "psi": self_map_to_obj(psi),
+        "pass": passed,
+        "runtime_ms": (time.perf_counter() - t0) * 1e3,
+    }
 
 
-def _run_verify_lemma1(cfg: RunConfig, measures, maps, cases) -> list[dict]:
-    reports = []
-    for i, case in enumerate(cases):
-        mu = _case_measure(case, measures, i)
-        psi = _case_self_map(case, maps, i)
-        rep = verify_lemma1(
-            mu, psi, cfg.degree_cap, cfg.restarts, cfg.seed, cfg.tol("pass_margin")
-        )
-        reports.append(rep.to_obj())
-    return reports
+def _run_kernel_compare(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
+    a = _case_complex(case, "a", i)
+    if "h" not in case:
+        raise FixtureError(f"cases[{i}]: missing 'h' coefficients")
+    try:
+        coeffs = [complex(float(p[0]), float(p[1])) for p in case["h"]]
+    except (TypeError, IndexError, ValueError) as exc:
+        raise FixtureError(f"cases[{i}].h: expected [re, im] pairs ({exc})") from exc
+    h = make_poly(coeffs)
+    if "zeta_angle" not in case or "r" not in case:
+        raise FixtureError(f"cases[{i}]: needs 'zeta_angle' and 'r'")
+    zeta = CirclePoint(float(case["zeta_angle"]))
+    r = float(case["r"])
+    t0 = time.perf_counter()
+    phi = MobiusSelfMap(MobiusMap(DiskPoint(a)))
+    closed = p_lambda_closed_form(a, h, zeta, r)
+    quad = p_phi_at_stable(phi, h, zeta, r)
+    diff = abs(closed - quad)
+    tol = cfg.tol("kernel_compare") * max(1.0, abs(closed))
+    return {
+        "claim": f"residue closed form vs quadrature at |a| = {abs(a):.6g}",
+        "inputs": {
+            "a": [a.real, a.imag],
+            "h": [[c.real, c.imag] for c in coeffs],
+            "zeta_angle": zeta.angle,
+            "r": r,
+        },
+        "zeta_angle": zeta.angle,
+        "r": r,
+        "re": closed.real,
+        "im": closed.imag,
+        "abs": abs(closed),
+        "quad_re": quad.real,
+        "quad_im": quad.imag,
+        "abs_diff": diff,
+        "pass": diff <= tol,
+        "runtime_ms": (time.perf_counter() - t0) * 1e3,
+    }
 
 
-def _run_factorize(cfg: RunConfig, measures, maps, cases) -> list[dict]:
-    reports = []
-    for i, case in enumerate(cases):
-        phi = _case_self_map(case, maps, i)
-        t0 = time.perf_counter()
-        base, psi = schwarz_factorize(phi)
-        residual = factorization_residual(phi, base, psi)
-        psi0 = abs(psi.at_zero())
-        passed = residual <= cfg.tol("factorize_residual") and psi0 <= cfg.tol("base_point")
-        reports.append(
+def _run_norm_estimate(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
+    mu = _case_measure(case, measures, i)
+    cap = int(case.get("degree_cap", cfg.degree_cap))
+    restarts = int(case.get("restarts", cfg.restarts))
+    t0 = time.perf_counter()
+    bracket = knorm_bracket(mu, cap, restarts, cfg.seed)
+    passed = bracket.lower <= bracket.upper + cfg.tol("sandwich")
+    return {
+        "claim": "transform norm bracket from duality",
+        "inputs": {"measure": measure_to_obj(mu)},
+        "lower": bracket.lower,
+        "upper": bracket.upper,
+        "bound": bracket.upper,
+        "pass": passed,
+        "witnesses": {
+            "h": poly_to_obj(bracket.witness_h),
+            "mu": measure_to_obj(bracket.witness_mu),
+        },
+        "runtime_ms": (time.perf_counter() - t0) * 1e3,
+    }
+
+
+def _run_sharpness_scan(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
+    a_values = case.get("a_values")
+    if not isinstance(a_values, list) or not a_values:
+        raise FixtureError(f"cases[{i}]: missing 'a_values' list")
+    cap = int(case.get("degree_cap", 6))
+    t0 = time.perf_counter()
+    rows = sharpness_scan([float(a) for a in a_values], cap, cfg.seed)
+    return {
+        "claim": "achieved ratio against the composition bound",
+        "inputs": {"a_values": a_values, "degree_cap": cap},
+        "rows": [
             {
-                "claim": f"factorization of {_map_label(phi)}",
-                "inputs": {"phi": self_map_to_obj(phi)},
-                "a": [base.value.real, base.value.imag],
-                "psi_at_zero": psi0,
-                "reconstruction_residual": residual,
-                "psi": self_map_to_obj(psi),
-                "pass": passed,
-                "runtime_ms": (time.perf_counter() - t0) * 1e3,
+                "a": row.a,
+                "ratio": row.ratio,
+                "bound": row.bound,
+                "margin": row.margin,
+                "atom_count": row.atom_count,
+                "measure": measure_to_obj(row.measure),
             }
-        )
-    return reports
-
-
-def _run_kernel_compare(cfg: RunConfig, measures, maps, cases) -> list[dict]:
-    reports = []
-    for i, case in enumerate(cases):
-        a = _case_complex(case, "a", i)
-        if "h" not in case:
-            raise FixtureError(f"cases[{i}]: missing 'h' coefficients")
-        try:
-            coeffs = [complex(float(p[0]), float(p[1])) for p in case["h"]]
-        except (TypeError, IndexError, ValueError) as exc:
-            raise FixtureError(f"cases[{i}].h: expected [re, im] pairs ({exc})") from exc
-        h = make_poly(coeffs)
-        if "zeta_angle" not in case or "r" not in case:
-            raise FixtureError(f"cases[{i}]: needs 'zeta_angle' and 'r'")
-        zeta = CirclePoint(float(case["zeta_angle"]))
-        r = float(case["r"])
-        t0 = time.perf_counter()
-        phi = MobiusSelfMap(MobiusMap(DiskPoint(a)))
-        closed = p_lambda_closed_form(a, h, zeta, r)
-        quad = p_phi_at_stable(phi, h, zeta, r)
-        diff = abs(closed - quad)
-        tol = cfg.tol("kernel_compare") * max(1.0, abs(closed))
-        reports.append(
-            {
-                "claim": f"residue closed form vs quadrature at |a| = {abs(a):.6g}",
-                "inputs": {
-                    "a": [a.real, a.imag],
-                    "h": [[c.real, c.imag] for c in coeffs],
-                    "zeta_angle": zeta.angle,
-                    "r": r,
-                },
-                "zeta_angle": zeta.angle,
-                "r": r,
-                "re": closed.real,
-                "im": closed.imag,
-                "abs": abs(closed),
-                "quad_re": quad.real,
-                "quad_im": quad.imag,
-                "abs_diff": diff,
-                "pass": diff <= tol,
-                "runtime_ms": (time.perf_counter() - t0) * 1e3,
-            }
-        )
-    return reports
-
-
-def _run_norm_estimate(cfg: RunConfig, measures, maps, cases) -> list[dict]:
-    reports = []
-    for i, case in enumerate(cases):
-        mu = _case_measure(case, measures, i)
-        cap = int(case.get("degree_cap", cfg.degree_cap))
-        restarts = int(case.get("restarts", cfg.restarts))
-        t0 = time.perf_counter()
-        bracket = knorm_bracket(mu, cap, restarts, cfg.seed)
-        passed = bracket.lower <= bracket.upper + cfg.tol("sandwich")
-        reports.append(
-            {
-                "claim": "transform norm bracket from duality",
-                "inputs": {"measure": measure_to_obj(mu)},
-                "lower": bracket.lower,
-                "upper": bracket.upper,
-                "bound": bracket.upper,
-                "pass": passed,
-                "witnesses": {
-                    "h": poly_to_obj(bracket.witness_h),
-                    "mu": measure_to_obj(bracket.witness_mu),
-                },
-                "runtime_ms": (time.perf_counter() - t0) * 1e3,
-            }
-        )
-    return reports
-
-
-def _run_sharpness_scan(cfg: RunConfig, measures, maps, cases) -> list[dict]:
-    reports = []
-    for i, case in enumerate(cases):
-        a_values = case.get("a_values")
-        if not isinstance(a_values, list) or not a_values:
-            raise FixtureError(f"cases[{i}]: missing 'a_values' list")
-        cap = int(case.get("degree_cap", 6))
-        t0 = time.perf_counter()
-        rows = sharpness_scan([float(a) for a in a_values], cap, cfg.seed)
-        reports.append(
-            {
-                "claim": "achieved ratio against the composition bound",
-                "inputs": {"a_values": a_values, "degree_cap": cap},
-                "rows": [
-                    {
-                        "a": row.a,
-                        "ratio": row.ratio,
-                        "bound": row.bound,
-                        "margin": row.margin,
-                        "atom_count": row.atom_count,
-                        "measure": measure_to_obj(row.measure),
-                    }
-                    for row in rows
-                ],
-                "pass": all(row.ratio <= row.bound + cfg.tol("pass_margin") for row in rows),
-                "runtime_ms": (time.perf_counter() - t0) * 1e3,
-            }
-        )
-    return reports
+            for row in rows
+        ],
+        "pass": all(row.ratio <= row.bound + cfg.tol("pass_margin") for row in rows),
+        "runtime_ms": (time.perf_counter() - t0) * 1e3,
+    }
 
 
 _HANDLERS = {
-    "verify-bound": _run_verify_bound,
-    "verify-lemma1": _run_verify_lemma1,
-    "verify-lemma2": _run_verify_lemma2,
+    "verify-bound": _run_verifier,
+    "verify-lemma1": _run_verifier,
+    "verify-lemma2": _run_verifier,
     "factorize": _run_factorize,
     "kernel-compare": _run_kernel_compare,
     "norm-estimate": _run_norm_estimate,
@@ -357,8 +310,15 @@ def run(config: RunConfig) -> int:
         measures, maps, cases = _load_fixture_doc(config.fixtures, config.command)
         if not cases:
             raise FixtureError(f"no cases for command {config.command!r}")
-        reports = _HANDLERS[config.command](config, measures, maps, cases)
-    except (FixtureError, PreconditionError, NonConvergenceError, ValueError) as exc:
+        reports = []
+        for i, case in enumerate(cases):
+            try:
+                reports.append(_HANDLERS[config.command](config, measures, maps, case, i))
+            except FixtureError:  # already names the case and its field
+                raise
+            except (NonConvergenceError, ValueError) as exc:
+                raise type(exc)(f"cases[{i}]: {exc}") from exc
+    except (NonConvergenceError, ValueError) as exc:  # FixtureError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     all_pass = all(rep.get("pass", True) for rep in reports)

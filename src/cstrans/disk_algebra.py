@@ -46,6 +46,17 @@ def coefficient_sum_bound(coeffs) -> float:
     return float(np.sum(np.abs(_as_coeff_array(coeffs))))
 
 
+def horner(coeffs, z):
+    """Horner evaluation with no checks; ``coeffs`` lowest degree first.
+
+    Returns a complex for scalar ``z`` and an array otherwise.
+    """
+    acc = np.zeros_like(np.asarray(z, dtype=complex))
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return complex(acc) if np.ndim(z) == 0 else acc
+
+
 def poly_eval(coeffs_or_poly, z):
     """Horner evaluation on the closed disk (scalar or array argument)."""
     coeffs = (
@@ -56,10 +67,7 @@ def poly_eval(coeffs_or_poly, z):
     arr = _as_coeff_array(coeffs)
     if np.max(np.abs(z)) > 1.0 + 1e-12:
         raise ValueError("polynomial test functions live on the closed unit disk")
-    acc = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in arr[::-1]:
-        acc = acc * z + c
-    return complex(acc) if np.ndim(z) == 0 else acc
+    return horner(arr, z)
 
 
 @lru_cache(maxsize=16)
@@ -70,12 +78,7 @@ def _circle_nodes(sample_count: int) -> np.ndarray:
 
 
 def boundary_samples(coeffs, sample_count: int) -> np.ndarray:
-    nodes = _circle_nodes(sample_count)
-    arr = _as_coeff_array(coeffs)
-    acc = np.zeros_like(nodes)
-    for c in arr[::-1]:
-        acc = acc * nodes + c
-    return acc
+    return horner(_as_coeff_array(coeffs), _circle_nodes(sample_count))
 
 
 def certify_sup_norm(coeffs, sample_count: int) -> float:
@@ -92,6 +95,16 @@ def certify_sup_norm(coeffs, sample_count: int) -> float:
         return 0.0
     peak = float(np.max(np.abs(boundary_samples(arr, sample_count))))
     return peak / (1.0 - d * math.pi / sample_count)
+
+
+def certified_sup(coeffs, sample_count: int | None = None) -> float:
+    """The smaller of the two sound sup-norm bounds: sampled and coefficient sum.
+
+    ``sample_count`` defaults to ``default_sample_count`` of the degree.
+    """
+    arr = _as_coeff_array(coeffs)
+    n = default_sample_count(poly_degree(arr)) if sample_count is None else sample_count
+    return min(certify_sup_norm(arr, n), coefficient_sum_bound(arr))
 
 
 @dataclass(frozen=True)
@@ -129,9 +142,7 @@ class DiskAlgebraPoly:
 def make_poly(coeffs, sample_count: int | None = None) -> DiskAlgebraPoly:
     """Certify and wrap raw coefficients."""
     arr = _as_coeff_array(coeffs)
-    n = sample_count if sample_count is not None else default_sample_count(poly_degree(arr))
-    cert = min(certify_sup_norm(arr, n), coefficient_sum_bound(arr))
-    return DiskAlgebraPoly(tuple(arr), cert)
+    return DiskAlgebraPoly(tuple(arr), certified_sup(arr, sample_count))
 
 
 def sample_unit_ball(degree: int, seed: int) -> DiskAlgebraPoly:
@@ -146,14 +157,14 @@ def sample_unit_ball(degree: int, seed: int) -> DiskAlgebraPoly:
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, degree + 1) + 1j * rng.uniform(-1.0, 1.0, degree + 1)
     n = default_sample_count(degree)
-    scale = min(certify_sup_norm(coeffs, n), coefficient_sum_bound(coeffs))
+    scale = certified_sup(coeffs, n)
     if scale == 0.0:  # zero draw has probability zero but stay defensive
         coeffs[0] = 1.0
         scale = 1.0
     scaled = coeffs / scale
     # Rescaling by a sound certificate keeps the true sup <= 1, so 1.0 is
     # itself a sound certificate; take the smaller of the two.
-    cert = min(certify_sup_norm(scaled, n), coefficient_sum_bound(scaled), 1.0)
+    cert = min(certified_sup(scaled, n), 1.0)
     return DiskAlgebraPoly(tuple(scaled), cert)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -43,18 +44,11 @@ from .circle import (
     DiskPoint,
     NonConvergenceError,
     QuadratureGrid,
-    circle_angles,
     grid_integrate,
+    mobius_lambda,
     refine_until_stable,
 )
-from .disk_algebra import (
-    DiskAlgebraPoly,
-    certify_sup_norm,
-    default_sample_count,
-    monomial,
-    poly_degree,
-    poly_eval,
-)
+from .disk_algebra import DiskAlgebraPoly, certified_sup, monomial, poly_eval
 from .self_maps import (
     BlaschkeMap,
     ComposedMap,
@@ -115,8 +109,8 @@ def p_lambda_closed_form(a, h: DiskAlgebraPoly, zeta, r: float = 1.0) -> complex
     zv = _as_unimodular(zeta)
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
-    denom = 1.0 - zv * np.conjugate(av)
-    pole_term = poly_eval(h, r * (av - zv) / denom) * (1.0 - abs(av) ** 2) / abs(denom) ** 2
+    pole_term = poly_eval(h, mobius_lambda(av, zv, r)) * (1.0 - abs(av) ** 2)
+    pole_term /= abs(1.0 - zv * np.conjugate(av)) ** 2
     return complex(-av * h.coeffs[0] / (zv - av) + pole_term)
 
 
@@ -128,8 +122,8 @@ def p_phi_at(
     if not 0.0 < r < 1.0:
         raise ValueError("quadrature of the kernel requires 0 < r < 1")
     t = grid.nodes
-    samples = poly_eval(h, t) / (1.0 - zv * np.conjugate(self_map_eval(phi, r * t)))
-    return grid_integrate(grid, samples)
+    denom = 1.0 - zv * np.conjugate(self_map_eval(phi, r * t))
+    return grid_integrate(grid, poly_eval(h, t) / denom)
 
 
 def p_phi_at_stable(
@@ -162,13 +156,10 @@ class _ChainForm:
 def _combine_automorphisms(a: complex, rot_i: complex, c_i: complex) -> tuple[complex, complex]:
     """lambda_a o (rot_i * lambda_{c_i}) as a rotated involution (rot, c)."""
 
-    def lam(p, z):
-        return (p - z) / (1.0 - np.conjugate(p) * z)
-
-    c = lam(c_i, a * np.conjugate(rot_i))
+    c = mobius_lambda(c_i, a * np.conjugate(rot_i))
     z0 = 0.0 if abs(c) > 0.25 else 0.5
-    num = lam(a, rot_i * lam(c_i, z0))
-    rot = num / lam(c, z0)
+    num = mobius_lambda(a, rot_i * mobius_lambda(c_i, z0))
+    rot = num / mobius_lambda(c, z0)
     return complex(rot / abs(rot)), complex(c)
 
 
@@ -219,11 +210,7 @@ def _series_order(
     best: tuple[int, float] | None = None
     prefactor = (1.0 + mob_abs) / (1.0 - mob_abs) if mob_abs > 0 else 1.0
     for rho in _RHO_LADDER:
-        scaled = core * (r * rho) ** degs
-        coefsum = float(np.sum(np.abs(scaled)))
-        d = poly_degree(scaled) if np.any(scaled) else 0
-        bern = certify_sup_norm(scaled, default_sample_count(d)) if np.any(scaled) else 0.0
-        s = min(coefsum, bern) if np.any(scaled) else 0.0
+        s = certified_sup(core * (r * rho) ** degs)
         if s >= 0.999:
             continue
         big_c = float(np.sum(b_abs * rho ** (-np.arange(b_abs.size))))
@@ -249,29 +236,45 @@ def _power_moment_table(core_r: np.ndarray, m_cap: int, k_max: int) -> np.ndarra
     return table
 
 
-def _chain_series(
-    nf: _ChainForm, b: np.ndarray, zeta: complex, r: float, tail_tol: float
-) -> complex:
-    """Exact kernel value for a normalized map with a polynomial core."""
+def _series_table(nf: _ChainForm, r: float, b_abs: np.ndarray, tail_tol: float) -> np.ndarray:
+    """Per map: conj of the rows k = 0..k_max+1 of core(r z)^k, truncated to
+    ``b_abs.size`` coefficients, with k_max certified for weights ``b_abs``."""
     core = np.asarray(nf.core, dtype=complex)
-    zeta_eff = zeta * np.conjugate(nf.rot)
     mob_abs = abs(nf.c) if nf.c is not None else 0.0
-    order = _series_order(core, r, np.abs(b), mob_abs, tail_tol)
+    order = _series_order(core, r, b_abs, mob_abs, tail_tol)
     if order is None:
         raise NonConvergenceError(
             "could not certify geometric decay for the moment series"
         )
     k_max, _ = order
-    table = _power_moment_table(core * r ** np.arange(core.size), b.size - 1, k_max + 1)
-    t_moments = np.conjugate(table) @ b
+    # At r = 1 the core stays as it is: a product with 1.0 can flip a zero's sign.
+    core_r = core if r == 1.0 else core * r ** np.arange(core.size)
+    return np.conjugate(_power_moment_table(core_r, b_abs.size - 1, k_max + 1))
+
+
+def _series_values(nf: _ChainForm, conj_table: np.ndarray, zeta: complex) -> np.ndarray:
+    """Per zeta: the kernel values of the monomials, from a ``_series_table``."""
+    k_max = conj_table.shape[0] - 2
+    zeta_eff = zeta * np.conjugate(nf.rot)
     if nf.c is None:
         ratios = np.concatenate(([1.0], np.cumprod(np.full(k_max, zeta_eff))))
-        return complex(ratios @ t_moments[: k_max + 1])
+        return ratios @ conj_table[: k_max + 1]
     c = nf.c
-    lam = (c - zeta_eff) / (1.0 - np.conjugate(c) * zeta_eff)
-    ratios = np.concatenate(([1.0], np.cumprod(np.full(k_max, lam))))
-    terms = t_moments[: k_max + 1] - c * t_moments[1 : k_max + 2]
-    return complex((ratios @ terms) / (1.0 - zeta_eff * np.conjugate(c)))
+    ratios = np.concatenate(([1.0], np.cumprod(np.full(k_max, mobius_lambda(c, zeta_eff)))))
+    terms = conj_table[: k_max + 1] - c * conj_table[1 : k_max + 2]
+    return (ratios @ terms) / (1.0 - zeta_eff * np.conjugate(c))
+
+
+def _closed_form_values(nf: _ChainForm, count: int, zeta: complex) -> np.ndarray:
+    """The residue closed form at r = 1 for the monomials 1, z, ..., z^(count-1)."""
+    zeta_eff = zeta * np.conjugate(nf.rot)
+    c = nf.c
+    w = mobius_lambda(c, zeta_eff)
+    base = (1.0 - abs(c) ** 2) / abs(1.0 - zeta_eff * np.conjugate(c)) ** 2
+    vals = base * np.concatenate(([1.0], np.cumprod(np.full(count - 1, w))))
+    vals = vals.astype(complex)
+    vals[0] += -c / (zeta_eff - c)
+    return vals
 
 
 def p_phi_exact_at(
@@ -291,7 +294,8 @@ def p_phi_exact_at(
     if nf.core is None:
         return p_lambda_closed_form(nf.c, h, zv * np.conjugate(nf.rot), r)
     b = np.asarray(h.coeffs, dtype=complex)
-    return _chain_series(nf, b, zv, r, tail_tol)
+    # P_phi is linear in h; the truncation order is certified for h's own weights.
+    return complex(b @ _series_values(nf, _series_table(nf, r, np.abs(b), tail_tol), zv))
 
 
 def _radial_sweep(phi, h, zeta, scheme: RadialScheme) -> complex:
@@ -326,104 +330,40 @@ def p_phi_radial_limit(
     return _radial_sweep(phi, h, zeta, scheme)
 
 
+def monomial_limit_evaluator(
+    phi: DiskSelfMap, count: int, scheme: RadialScheme | None = None,
+    tail_tol: float = SERIES_TAIL_TOL,
+) -> Callable[[complex], np.ndarray]:
+    """Radial-limit kernel values of the monomials 1, z, ..., z^(count-1),
+    as a function of a unimodular zeta.
+
+    What depends on the map alone (the normal form, the series order and
+    the coefficient table) is computed once, here, so many boundary points
+    share it.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    nf = _normalize(phi)
+    if nf is None:
+        scheme = scheme or DEFAULT_SCHEME
+
+        def swept(zv: complex) -> np.ndarray:
+            return np.array(
+                [p_phi_radial_limit(phi, monomial(m), zv, scheme) for m in range(count)]
+            )
+
+        return swept
+    if nf.core is None:
+        return partial(_closed_form_values, nf, count)
+    b_abs = np.zeros(count)
+    b_abs[-1] = 1.0  # worst Cauchy weight among the monomials
+    return partial(_series_values, nf, _series_table(nf, 1.0, b_abs, tail_tol))
+
+
 def monomial_radial_limits(
     phi: DiskSelfMap, count: int, zeta, scheme: RadialScheme | None = None,
     tail_tol: float = SERIES_TAIL_TOL,
 ) -> np.ndarray:
-    """Radial-limit kernel values for the monomials 1, z, ..., z^(count-1).
-
-    One shared coefficient table serves all monomials, which keeps dual
-    moment vectors cheap.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    """Radial-limit kernel values for the monomials 1, z, ..., z^(count-1) at zeta."""
     zv = _as_unimodular(zeta)
-    nf = _normalize(phi)
-    if nf is None:
-        scheme = scheme or DEFAULT_SCHEME
-        return np.array(
-            [p_phi_radial_limit(phi, monomial(m), zv, scheme) for m in range(count)]
-        )
-    zeta_eff = zv * np.conjugate(nf.rot)
-    if nf.core is None:
-        c = nf.c
-        denom = 1.0 - zeta_eff * np.conjugate(c)
-        w = (c - zeta_eff) / denom
-        base = (1.0 - abs(c) ** 2) / abs(denom) ** 2
-        vals = base * np.concatenate(([1.0], np.cumprod(np.full(count - 1, w))))
-        vals = vals.astype(complex)
-        vals[0] += -c / (zeta_eff - c)
-        return vals
-    core = np.asarray(nf.core, dtype=complex)
-    b_abs = np.zeros(count)
-    b_abs[-1] = 1.0  # worst Cauchy weight among the monomials
-    mob_abs = abs(nf.c) if nf.c is not None else 0.0
-    order = _series_order(core, 1.0, b_abs, mob_abs, tail_tol)
-    if order is None:
-        raise NonConvergenceError(
-            "could not certify geometric decay for the moment series"
-        )
-    k_max, _ = order
-    table = _power_moment_table(core, count - 1, k_max + 1)
-    if nf.c is None:
-        ratios = np.concatenate(([1.0], np.cumprod(np.full(k_max, zeta_eff))))
-        return ratios @ np.conjugate(table[: k_max + 1])
-    c = nf.c
-    lam = (c - zeta_eff) / (1.0 - np.conjugate(c) * zeta_eff)
-    ratios = np.concatenate(([1.0], np.cumprod(np.full(k_max, lam))))
-    terms = np.conjugate(table[: k_max + 1]) - c * np.conjugate(table[1 : k_max + 2])
-    return (ratios @ terms) / (1.0 - zeta_eff * np.conjugate(c))
-
-
-@dataclass(frozen=True)
-class SupNormScan:
-    """Grid maximum of |P_phi h| over the circle, plus one Newton polish."""
-
-    grid_max: float
-    grid_angle: float
-    refined_max: float
-    refined_angle: float
-
-
-def p_phi_sup_scan(
-    phi: DiskSelfMap,
-    h: DiskAlgebraPoly,
-    zeta_grid_size: int = 256,
-    scheme: RadialScheme | None = None,
-) -> SupNormScan:
-    if h.certified_sup > 1.0 + 1e-12:
-        raise ValueError("h must be certified inside the unit ball")
-    angles = circle_angles(zeta_grid_size)
-    values = np.array(
-        [abs(p_phi_radial_limit(phi, h, CirclePoint(a), scheme)) for a in angles]
-    )
-    best = int(np.argmax(values))  # first index wins ties
-    grid_max = float(values[best])
-    theta = float(angles[best])
-
-    def mag2(t: float) -> float:
-        return abs(p_phi_radial_limit(phi, h, CirclePoint(t), scheme)) ** 2
-
-    delta = 1e-4
-    g_minus, g_0, g_plus = mag2(theta - delta), grid_max**2, mag2(theta + delta)
-    d1 = (g_plus - g_minus) / (2 * delta)
-    d2 = (g_plus - 2 * g_0 + g_minus) / delta**2
-    refined_angle = theta
-    if d2 < 0:
-        step = -d1 / d2
-        spacing = 2 * math.pi / zeta_grid_size
-        refined_angle = theta + float(np.clip(step, -spacing, spacing))
-    refined = math.sqrt(mag2(refined_angle))
-    if refined < grid_max:
-        refined, refined_angle = grid_max, theta
-    return SupNormScan(grid_max, theta, refined, refined_angle)
-
-
-def p_phi_sup_norm(
-    phi: DiskSelfMap,
-    h: DiskAlgebraPoly,
-    zeta_grid_size: int = 256,
-    scheme: RadialScheme | None = None,
-) -> float:
-    """max |P_phi h| over a zeta grid: a sound lower estimate of the sup-norm."""
-    return p_phi_sup_scan(phi, h, zeta_grid_size, scheme).grid_max
+    return monomial_limit_evaluator(phi, count, scheme, tail_tol)(zv)

@@ -28,18 +28,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CirclePoint, DiskPoint, MobiusMap, circle_angles, refine_until_stable
+from .circle import DiskPoint, MobiusMap, circle_angles
 from .disk_algebra import (
     SEARCH_DEGREE_CAP,
     DiskAlgebraPoly,
-    certify_sup_norm,
+    certified_sup,
+    coefficient_sum_bound,
     default_sample_count,
     monomial,
     poly_degree,
     poly_eval,
     poly_to_obj,
 )
-from .kernel_op import RadialScheme, limit_route, monomial_radial_limits
+from .kernel_op import RadialScheme, limit_route, monomial_limit_evaluator
 from .measures import (
     AtomicMeasure,
     CauchyTransform,
@@ -58,8 +59,18 @@ from .self_maps import (
 )
 
 DEFAULT_SEED = 20240001
-PASS_MARGIN = 1e-8
-SANDWICH_TOL = 1e-9
+
+# The named tolerances: the defaults of the library and of the CLI, whose
+# ``--tol NAME=VALUE`` overrides them by name.
+DEFAULT_TOLERANCES = {
+    "pass_margin": 1e-8,          # verifier ceiling slack
+    "kernel_compare": 1e-10,      # closed form vs quadrature
+    "sandwich": 1e-9,             # bracket consistency
+    "factorize_residual": 1e-12,  # max |phi - lambda_a o psi| on the disk grid
+    "base_point": 1e-14,          # |psi(0)|
+}
+PASS_MARGIN = DEFAULT_TOLERANCES["pass_margin"]
+SANDWICH_TOL = DEFAULT_TOLERANCES["sandwich"]
 
 
 class PreconditionError(ValueError):
@@ -91,11 +102,6 @@ def pairing_quadrature(mu, h, r, grid) -> complex:
     return complex(np.mean(samples))
 
 
-def pairing_quadrature_stable(mu, h, r) -> complex:
-    value, _ = refine_until_stable(lambda g: pairing_quadrature(mu, h, r, g))
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Certified lower-bound search.  The objective |sum_m conj(b_m) g_m| / cert(b)
 # is scale invariant and every evaluation is a valid lower bound, so the
@@ -108,14 +114,10 @@ def _tight_cert(b: np.ndarray) -> float:
     # Over-estimation factor 1/(1 - d pi/n) stays below 1.002 for d <= 8;
     # the witnesses behind the pinned sandwich values reduce to single
     # monomials whose coefficient-sum certificate is exact anyway.
-    if not np.any(b):
-        return 0.0
-    coefsum = float(np.sum(np.abs(b)))
     d = poly_degree(b)
-    if d == 0:
-        return coefsum
-    n = max(1 << 14, 2048 * d)
-    return min(certify_sup_norm(b, n), coefsum)
+    if d == 0:  # a constant's coefficient sum is exact
+        return coefficient_sum_bound(b)
+    return certified_sup(b, max(1 << 14, 2048 * d))
 
 
 def _tight_value(b: np.ndarray, g: np.ndarray) -> float:
@@ -330,9 +332,10 @@ def composition_moments(
     These are the pairing coefficients of f o phi against monomials, so
     |sum_m conj(b_m) g_m| = |<f o phi, h>| for h with coefficients b.
     """
+    limits = monomial_limit_evaluator(phi, count, scheme)
     g = np.zeros(count, dtype=complex)
     for pos, w in mu.atoms:
-        g += w * np.conjugate(monomial_radial_limits(phi, count, pos, scheme))
+        g += w * np.conjugate(limits(pos.value))
     return g
 
 
@@ -442,22 +445,33 @@ def verify_eq1(
     restarts: int = 8,
     seed: int = DEFAULT_SEED,
     tol: float = PASS_MARGIN,
+    residual_tol: float = DEFAULT_TOLERANCES["factorize_residual"],
+    base_point_tol: float = DEFAULT_TOLERANCES["base_point"],
 ) -> VerificationReport:
     """Run the full pipeline: factorize phi, check the Möbius step, then the
-    end-to-end bound lower(f o phi) <= (1 + 2|phi(0)|)/(1 - |phi(0)|) * tv."""
+    end-to-end bound lower(f o phi) <= (1 + 2|phi(0)|)/(1 - |phi(0)|) * tv.
+
+    The factorization must reconstruct phi to ``residual_tol`` with
+    |psi(0)| <= ``base_point_tol``.
+    """
     t0 = time.perf_counter()
     base, psi = schwarz_factorize(phi)
     residual = factorization_residual(phi, base, psi)
     psi0 = abs(psi.at_zero())
     mobius_step = verify_lemma2(mu, base, degree_cap, restarts, seed, tol)
-    lower, witness = composition_knorm_lower(mu, phi, degree_cap, restarts, seed)
+    if isinstance(phi, MobiusSelfMap):
+        # phi is lambda_a with a = phi(0): the Möbius step solved this problem.
+        lower, witness_obj = mobius_step.lower, mobius_step.witnesses["h"]
+    else:
+        lower, witness = composition_knorm_lower(mu, phi, degree_cap, restarts, seed)
+        witness_obj = poly_to_obj(witness)
     upper = tv_norm(mu)
     bound = bound_cima_matheson(abs(base.value))
     passed = (
         mobius_step.passed
         and lower <= bound * upper + tol
-        and residual <= 1e-12
-        and psi0 <= 1e-14
+        and residual <= residual_tol
+        and psi0 <= base_point_tol
     )
     notes = [f"route: {limit_route(phi)}"]
     if phi.sup_bound >= 1.0 - 1e-12 and limit_route(phi) == "quadrature-sweep":
@@ -470,7 +484,7 @@ def verify_eq1(
         bound=bound,
         passed=passed,
         witnesses={
-            "h": poly_to_obj(witness),
+            "h": witness_obj,
             "factorization": {
                 "a": [base.value.real, base.value.imag],
                 "psi_at_zero": psi0,

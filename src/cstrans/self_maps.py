@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import DiskPoint, MobiusMap, disk_grid, mobius_eval
-from .disk_algebra import certify_sup_norm, coefficient_sum_bound, default_sample_count, poly_degree
+from .circle import DiskPoint, MobiusMap, disk_grid, mobius_eval, mobius_lambda
+from .disk_algebra import certified_sup, horner
 
 # Construction accepts certificates this far above 1 (pure rounding slop).
 SUP_BOUND_SLACK = 1e-12
@@ -56,8 +56,7 @@ class PolynomialMap(DiskSelfMap):
         object.__setattr__(self, "coeffs", coeffs)
         if not coeffs:
             raise ValueError("empty coefficient list")
-        n = default_sample_count(poly_degree(coeffs))
-        cert = min(certify_sup_norm(coeffs, n), coefficient_sum_bound(coeffs))
+        cert = certified_sup(coeffs)
         if cert > 1.0 + SUP_BOUND_SLACK:
             raise ValueError(
                 f"polynomial is not certified as a self-map: sup bound {cert:.6g} > 1"
@@ -65,10 +64,7 @@ class PolynomialMap(DiskSelfMap):
         object.__setattr__(self, "sup_bound", min(cert, 1.0))
 
     def eval_inner(self, z):
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return complex(acc) if np.ndim(z) == 0 else acc
+        return horner(self.coeffs, z)
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,7 @@ class BlaschkeMap(DiskSelfMap):
     def eval_inner(self, z):
         acc = np.full_like(np.asarray(z, dtype=complex), self.rotation)
         for zero in self.zeros:
-            a = zero.value
-            acc = acc * (a - z) / (1.0 - np.conjugate(a) * z)
+            acc *= mobius_lambda(zero.value, z)
         return complex(acc) if np.ndim(z) == 0 else acc
 
 

@@ -12,7 +12,6 @@ from cstrans.circle import (
     QuadratureGrid,
     circle_angles,
     grid_integrate,
-    mobius_compose_self,
     mobius_eval,
     refine_until_stable,
 )
@@ -20,6 +19,11 @@ from cstrans.circle import (
 
 def mob(a: complex) -> MobiusMap:
     return MobiusMap(DiskPoint(a))
+
+
+def mobius_compose_self(m: MobiusMap, z):
+    """lambda_a(lambda_a(z)); equals z up to rounding since lambda_a is an involution."""
+    return mobius_eval(m, mobius_eval(m, z))
 
 
 class TestPoints:

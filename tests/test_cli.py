@@ -63,6 +63,34 @@ class TestExitCodes:
         assert code == 2
         assert "cases[0]" in capsys.readouterr().err
 
+    def test_verify_bound_honours_factorization_tolerance(self, tmp_path):
+        # lambda_{1/4} factors with a reconstruction residual near 4e-16
+        doc = {
+            "measures": [[{"angle": 0.0, "re": 1.0, "im": 0.0}]],
+            "self_maps": [{"kind": "mobius", "a": [0.25, 0.0]}],
+            "cases": [{"measure": 0, "self_map": 0}],
+        }
+        path = write_fixture(tmp_path, doc)
+        cfg = RunConfig("verify-bound", fixtures=path, output=str(tmp_path / "rep.json"),
+                        degree_cap=4, restarts=1)
+        assert run(cfg) == 0
+        cfg.tolerances = {"factorize_residual": 1e-17}
+        assert run(cfg) == 1
+
+    def test_nonconvergence_names_the_case(self, tmp_path, capsys):
+        doc = {
+            "measures": [[{"angle": 0.0, "re": 1.0, "im": 0.0}]],
+            "self_maps": [
+                {"kind": "mobius", "a": [0.5, 0.0]},
+                {"kind": "blaschke", "zeros": [[0.3, 0.0], [0.0, -0.4]]},
+            ],
+            "cases": [{"measure": 0, "self_map": 0}, {"measure": 0, "self_map": 1}],
+        }
+        cfg = RunConfig("verify-bound", fixtures=write_fixture(tmp_path, doc), degree_cap=4, restarts=1)
+        assert run(cfg) == 2
+        err = capsys.readouterr().err
+        assert "cases[1]: " in err and "did not stabilize" in err
+
     def test_failed_verification_is_exit_one(self, tmp_path):
         # an impossible tolerance turns a passing comparison into a failure
         out = tmp_path / "kc.json"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cstrans.circle import (
     MobiusMap,
     NonConvergenceError,
     QuadratureGrid,
+    circle_angles,
     grid_integrate,
 )
 from cstrans.disk_algebra import make_poly, sample_unit_ball
@@ -21,8 +23,6 @@ from cstrans.kernel_op import (
     p_phi_at_stable,
     p_phi_exact_at,
     p_phi_radial_limit,
-    p_phi_sup_norm,
-    p_phi_sup_scan,
 )
 from cstrans.self_maps import (
     BlaschkeMap,
@@ -259,6 +259,53 @@ class TestTriangleBounds:
                     worst_ratio = max(worst_ratio, diff / ((1 - r) * slope_cap))
         # measured continuity constant, relative to the proven cap
         print(f"\nmeasured r-continuity constant ratio: {worst_ratio:.3f}")
+
+
+# A sup-norm scan of P_phi h over the circle: the sharpness reference the
+# tests below hold against the operator bound.
+
+@dataclass(frozen=True)
+class SupNormScan:
+    """Grid maximum of |P_phi h| over the circle, plus one Newton polish."""
+
+    grid_max: float
+    grid_angle: float
+    refined_max: float
+    refined_angle: float
+
+
+def p_phi_sup_scan(phi, h, zeta_grid_size=256, scheme=None) -> SupNormScan:
+    if h.certified_sup > 1.0 + 1e-12:
+        raise ValueError("h must be certified inside the unit ball")
+    angles = circle_angles(zeta_grid_size)
+    values = np.array(
+        [abs(p_phi_radial_limit(phi, h, CirclePoint(a), scheme)) for a in angles]
+    )
+    best = int(np.argmax(values))  # first index wins ties
+    grid_max = float(values[best])
+    theta = float(angles[best])
+
+    def mag2(t: float) -> float:
+        return abs(p_phi_radial_limit(phi, h, CirclePoint(t), scheme)) ** 2
+
+    delta = 1e-4
+    g_minus, g_0, g_plus = mag2(theta - delta), grid_max**2, mag2(theta + delta)
+    d1 = (g_plus - g_minus) / (2 * delta)
+    d2 = (g_plus - 2 * g_0 + g_minus) / delta**2
+    refined_angle = theta
+    if d2 < 0:
+        step = -d1 / d2
+        spacing = 2 * math.pi / zeta_grid_size
+        refined_angle = theta + float(np.clip(step, -spacing, spacing))
+    refined = math.sqrt(mag2(refined_angle))
+    if refined < grid_max:
+        refined, refined_angle = grid_max, theta
+    return SupNormScan(grid_max, theta, refined, refined_angle)
+
+
+def p_phi_sup_norm(phi, h, zeta_grid_size=256, scheme=None) -> float:
+    """max |P_phi h| over a zeta grid: a sound lower estimate of the sup-norm."""
+    return p_phi_sup_scan(phi, h, zeta_grid_size, scheme).grid_max
 
 
 class TestSupNorm:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cstrans.circle import CirclePoint, DiskPoint, MobiusMap, QuadratureGrid
+from cstrans.circle import CirclePoint, DiskPoint, MobiusMap, QuadratureGrid, refine_until_stable
 from cstrans.disk_algebra import make_poly, sample_unit_ball
-from cstrans.kernel_op import p_phi_radial_limit
+from cstrans.kernel_op import monomial_radial_limits, p_phi_radial_limit
 from cstrans.measures import (
     atomic_measure,
     monomial_pushforward,
@@ -24,14 +24,13 @@ from cstrans.norm_engine import (
     knorm_lower,
     pairing,
     pairing_quadrature,
-    pairing_quadrature_stable,
     pairing_radial,
     sharpness_scan,
     verify_eq1,
     verify_lemma1,
     verify_lemma2,
 )
-from cstrans.self_maps import MobiusSelfMap, PolynomialMap, schwarz_factorize
+from cstrans.self_maps import ComposedMap, MobiusSelfMap, PolynomialMap, schwarz_factorize
 
 D1 = point_mass(0.0)
 DIPOLE = atomic_measure([(0.0, 1.0), (math.pi, -1.0)])
@@ -64,7 +63,7 @@ class TestPairing:
                  for _ in range(int(rng.integers(1, 4)))]
             )
             h = make_poly(rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5))
-            got = pairing_quadrature_stable(mu, h, 0.999)
+            got, _ = refine_until_stable(lambda g: pairing_quadrature(mu, h, 0.999, g))
             want = pairing_radial(mu, h, 0.999)
             assert abs(got - want) <= 1e-8
 
@@ -181,6 +180,14 @@ class TestVerifiers:
         assert rep.passed
         assert rep.bound == 4.0
 
+    def test_eq1_mobius_reuses_the_mobius_step(self):
+        # phi = lambda_a is its own Möbius step, so one search serves both
+        phi = MobiusSelfMap(MobiusMap(DiskPoint(0.25)))
+        rep = verify_eq1(DIPOLE, phi, degree_cap=6, restarts=2)
+        lower, witness = composition_knorm_lower(DIPOLE, phi, degree_cap=6, restarts=2)
+        assert rep.lower == rep.witnesses["mobius_step"]["lower"] == lower
+        assert rep.witnesses["h"]["coeffs"] == [[c.real, c.imag] for c in witness.coeffs]
+
     def test_eq1_identity(self):
         rep = verify_eq1(D1, PolynomialMap((0.0, 1.0)))
         assert rep.passed
@@ -216,6 +223,19 @@ class TestCompositionConsistency:
         got = composition_moments(D1, z2, 8)
         want = taylor_coeffs(CauchyTransform(monomial_pushforward(D1, 2)), 8)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_moments_equal_the_per_atom_sum(self):
+        # one series table per map serves every atom, bit for bit
+        mu = atomic_measure([(0.3, 1.0), (1.9, -0.5j), (4.0, 0.25 + 0.25j)])
+        maps = (
+            PolynomialMap((0.0, 0.0, 0.0, 1.0)),
+            ComposedMap(MobiusMap(DiskPoint(0.3 - 0.2j)), PolynomialMap((0.1, 0.5, 0.0, 0.3j))),
+        )
+        for phi in maps:
+            want = np.zeros(9, dtype=complex)
+            for pos, w in mu.atoms:
+                want += w * np.conjugate(monomial_radial_limits(phi, 9, pos))
+            assert np.array_equal(composition_moments(mu, phi, 9), want)
 
     def test_composition_lower_bounded_by_ceiling(self):
         phi = MobiusSelfMap(MobiusMap(DiskPoint(0.75)))
