@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Scan base points for measures that push the composition bound.
+"""Scan base points for how much of the composition bound is certified.
 
-For each |a| the scan searches small atomic measures for a large certified
-ratio lower(f o lambda_a) / tv(mu) and prints it against the ceiling
-(1 + 2|a|)/(1 - |a|).  Achieved ratios are lower bounds; the gap column
-shows how much ceiling is unused by the search.
+For each a in [0, amax] the scan evaluates the extremal measure, the unit
+point mass at 1, under lambda_a, certifies its ratio lower(f o lambda_a) /
+tv(mu) with the dual search, and prints it against the ceiling
+(1 + 2a)/(1 - a), which that measure attains exactly.  Achieved ratios are
+lower bounds; the gap column shows how much ceiling the dual search at this
+degree cap leaves uncertified.
 
 Usage: python scripts/run_sharpness_scan.py [--amax 0.9] [--steps 10]
            [--degree-cap 6] [--seed N] [--out scan.csv]
@@ -25,6 +27,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=20240001)
     parser.add_argument("--out", default=None, help="write rows as CSV")
     args = parser.parse_args()
+    if not 0.0 <= args.amax <= 0.95:
+        parser.error("--amax must lie in [0, 0.95]")
+    if args.steps < 1:
+        parser.error("--steps must be at least 1")
 
     a_values = [args.amax * k / max(args.steps - 1, 1) for k in range(args.steps)]
     rows = sharpness_scan(a_values, degree_cap=args.degree_cap, seed=args.seed)

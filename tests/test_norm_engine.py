@@ -244,8 +244,43 @@ class TestCompositionConsistency:
 
 
 class TestSharpnessScan:
+    @given(
+        st.floats(0.0, 0.95),
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 2 * math.pi, exclude_max=True),
+                st.floats(0.1, 1.0),
+                st.floats(0.0, 2 * math.pi),
+            ),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda atom: round(atom[0], 6),
+        ),
+        st.integers(1, 9),
+    )
+    def test_no_measure_beats_the_point_mass_at_one(self, a, atoms, count):
+        # The lemma behind the scan: on max_m |g_m| / tv a mixture cannot beat
+        # its best atom, and the best atom sits at zeta = 1.
+        phi = MobiusSelfMap(MobiusMap(DiskPoint(complex(a))))
+        mu = atomic_measure([(t, r * complex(math.cos(p), math.sin(p))) for t, r, p in atoms])
+        best = float(np.max(np.abs(composition_moments(D1, phi, count))))
+        ratio = float(np.max(np.abs(composition_moments(mu, phi, count)))) / tv_norm(mu)
+        assert ratio <= best * (1 + 1e-12)
+        if count >= 2:
+            assert best == pytest.approx((1 + a) / (1 - a), rel=1e-12)
+
+    def test_rows_certify_the_point_mass_at_one(self):
+        a_values = [0.0, 0.3, 0.95]
+        rows = sharpness_scan(a_values, degree_cap=4, restarts=2, seed=11)
+        for a, row in zip(a_values, rows):
+            assert row.measure == point_mass(0.0)
+            assert row.atom_count == 1
+            phi = MobiusSelfMap(MobiusMap(DiskPoint(complex(a))))
+            lower, _ = composition_knorm_lower(D1, phi, 4, 2, 11)
+            assert row.ratio == lower
+
     def test_small_scan(self):
-        rows = sharpness_scan([0.0, 0.5], degree_cap=6, restarts=2, outer_iters=40)
+        rows = sharpness_scan([0.0, 0.5], degree_cap=6, restarts=2)
         assert rows[0].ratio >= 1.0 - 1e-6
         for row in rows:
             assert row.ratio <= row.bound + 1e-8
