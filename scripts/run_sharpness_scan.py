@@ -9,7 +9,7 @@ lower bounds; the gap column shows how much ceiling the dual search at this
 degree cap leaves uncertified.
 
 Usage: python scripts/run_sharpness_scan.py [--amax 0.9] [--steps 10]
-           [--degree-cap 6] [--seed N] [--out scan.csv]
+           [--degree-cap 6] [--out scan.csv]
 """
 
 import argparse
@@ -24,7 +24,6 @@ def main() -> int:
     parser.add_argument("--amax", type=float, default=0.9)
     parser.add_argument("--steps", type=int, default=10)
     parser.add_argument("--degree-cap", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=20240001)
     parser.add_argument("--out", default=None, help="write rows as CSV")
     args = parser.parse_args()
     if not 0.0 <= args.amax <= 0.95:
@@ -33,7 +32,7 @@ def main() -> int:
         parser.error("--steps must be at least 1")
 
     a_values = [args.amax * k / max(args.steps - 1, 1) for k in range(args.steps)]
-    rows = sharpness_scan(a_values, degree_cap=args.degree_cap, seed=args.seed)
+    rows = sharpness_scan(a_values, degree_cap=args.degree_cap)
 
     print(f"{'a':>6} {'ratio':>12} {'bound':>12} {'gap':>12} {'atoms':>6}")
     for row in rows:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every verifier over the standard fixture set and print a summary table.
 
-Usage: python scripts/run_verify_all.py [--seed N] [--out report.json]
+Usage: python scripts/run_verify_all.py [--out report.json]
 """
 
 import argparse
@@ -15,7 +15,6 @@ from cstrans.cli import RunConfig, run
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=20240001)
     parser.add_argument("--out", default=None, help="also write the combined JSON here")
     args = parser.parse_args()
 
@@ -24,7 +23,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cstrans-") as tmp:
         for command in ("factorize", "verify-lemma1", "verify-lemma2", "verify-bound", "norm-estimate"):
             out = os.path.join(tmp, f"{command}.json")
-            code = run(RunConfig(command, seed=args.seed, output=out))
+            code = run(RunConfig(command, output=out))
             worst = max(worst, code)
             with open(out, encoding="utf-8") as fh:
                 doc = json.load(fh)

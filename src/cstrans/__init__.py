@@ -18,7 +18,6 @@ from .disk_algebra import (
     make_poly,
     monomial,
     poly_eval,
-    sample_unit_ball,
 )
 from .kernel_op import (
     RadialScheme,

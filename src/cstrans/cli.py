@@ -4,7 +4,7 @@ Loads a fixture file (or the built-in standard set), runs one verifier or
 scan, and writes a machine-readable JSON or CSV report.  Exit codes:
 0 all checks passed, 1 at least one verification failed, 2 input or
 convergence error.  Output is byte-for-byte deterministic for a fixed
-command, fixtures, and seed, except for the runtime_ms fields.
+command, fixtures and options, except for the runtime_ms fields.
 
 Fixture files are JSON documents
 ``{"measures": [...], "self_maps": [...], "cases": [...]}`` where each
@@ -65,12 +65,10 @@ class FixtureError(ValueError):
 class RunConfig:
     command: str
     fixtures: str = "standard"
-    seed: int = 20240001
     output: str | None = None
     format: str = "json"
     tolerances: dict = field(default_factory=dict)
     degree_cap: int = 8
-    restarts: int = 8
 
     def tol(self, name: str) -> float:
         if name not in DEFAULT_TOLERANCES:
@@ -147,7 +145,7 @@ def _map_label(phi: DiskSelfMap) -> str:
 
 def _run_verifier(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
     mu = _case_measure(case, measures, i)
-    common = (cfg.degree_cap, cfg.restarts, cfg.seed, cfg.tol("pass_margin"))
+    common = (cfg.degree_cap, cfg.tol("pass_margin"))
     if cfg.command == "verify-lemma2":
         report = verify_lemma2(mu, _case_complex(case, "a", i), *common)
     elif cfg.command == "verify-lemma1":
@@ -222,17 +220,16 @@ def _run_kernel_compare(cfg: RunConfig, measures, maps, case: dict, i: int) -> d
 def _run_norm_estimate(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
     mu = _case_measure(case, measures, i)
     cap = int(case.get("degree_cap", cfg.degree_cap))
-    restarts = int(case.get("restarts", cfg.restarts))
     t0 = time.perf_counter()
-    bracket = knorm_bracket(mu, cap, restarts, cfg.seed)
-    passed = bracket.lower <= bracket.upper + cfg.tol("sandwich")
+    # NormBracket raises when lower > upper + tol, so a built bracket passed.
+    bracket = knorm_bracket(mu, cap, cfg.tol("sandwich"))
     return {
         "claim": "transform norm bracket from duality",
         "inputs": {"measure": measure_to_obj(mu)},
         "lower": bracket.lower,
         "upper": bracket.upper,
         "bound": bracket.upper,
-        "pass": passed,
+        "pass": True,
         "witnesses": {
             "h": poly_to_obj(bracket.witness_h),
             "mu": measure_to_obj(bracket.witness_mu),
@@ -245,9 +242,9 @@ def _run_sharpness_scan(cfg: RunConfig, measures, maps, case: dict, i: int) -> d
     a_values = case.get("a_values")
     if not isinstance(a_values, list) or not a_values:
         raise FixtureError(f"cases[{i}]: missing 'a_values' list")
-    cap = int(case.get("degree_cap", 6))
+    cap = int(case.get("degree_cap", cfg.degree_cap))
     t0 = time.perf_counter()
-    rows = sharpness_scan([float(a) for a in a_values], cap, cfg.seed)
+    rows = sharpness_scan([float(a) for a in a_values], cap)
     return {
         "claim": "achieved ratio against the composition bound",
         "inputs": {"a_values": a_values, "degree_cap": cap},
@@ -328,7 +325,6 @@ def run(config: RunConfig) -> int:
         document = {
             "command": config.command,
             "fixtures": config.fixtures,
-            "seed": config.seed,
             "reports": reports,
             "pass": all_pass,
             "runtime_ms": (time.perf_counter() - t0) * 1e3,
@@ -364,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--fixtures", default="standard", help="fixture file path or 'standard'")
-    parser.add_argument("--seed", type=int, default=20240001)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument(
@@ -372,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a named tolerance (repeatable)",
     )
     parser.add_argument("--degree-cap", type=int, default=8)
-    parser.add_argument("--restarts", type=int, default=8)
     return parser
 
 
@@ -386,12 +380,10 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig(
         command=args.command,
         fixtures=args.fixtures,
-        seed=args.seed,
         output=args.out,
         format=args.format,
         tolerances=tolerances,
         degree_cap=args.degree_cap,
-        restarts=args.restarts,
     )
     return run(config)
 

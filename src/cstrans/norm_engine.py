@@ -18,6 +18,10 @@ integral of the paired composition gives
 ``<f o phi, h> = sum_j c_j conj((P_phi h)(zeta_j))``, evaluated through
 the closed-form / series routes of ``kernel_op``.  The searched suprema
 are reported as achieved values, never as the true sup.
+
+The dual search is one convex solve (Lawson's reweighting for the
+minimum-total-variation representing measure on a circle grid): it is
+deterministic and has no tuning knobs.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import DiskPoint, MobiusMap, circle_angles
+from .circle import DiskPoint, MobiusMap
 from .disk_algebra import (
     SEARCH_DEGREE_CAP,
     DiskAlgebraPoly,
@@ -57,8 +61,6 @@ from .self_maps import (
     schwarz_factorize,
     self_map_to_obj,
 )
-
-DEFAULT_SEED = 20240001
 
 # The named tolerances: the defaults of the library and of the CLI, whose
 # ``--tol NAME=VALUE`` overrides them by name.
@@ -107,11 +109,13 @@ def pairing_quadrature(mu, h, r, grid) -> complex:
 # is scale invariant and every evaluation is a valid lower bound, so the
 # search can only under-shoot, never fabricate.
 
-_DIRECTIONS = np.array([1.0, 1.0j, -1.0, -1.0j])
+# Relative duality gap at which the reweighting stops, and its iteration cap.
+_DUAL_GAP = 1e-3
+_DUAL_ITERS = 2000
 
 
 def _tight_cert(b: np.ndarray) -> float:
-    # Over-estimation factor 1/(1 - d pi/n) stays below 1.002 for d <= 8;
+    # Over-estimation factor 1/(1 - d pi/n) stays below 1.002 for every d;
     # the witnesses behind the pinned sandwich values reduce to single
     # monomials whose coefficient-sum certificate is exact anyway.
     d = poly_degree(b)
@@ -125,129 +129,69 @@ def _tight_value(b: np.ndarray, g: np.ndarray) -> float:
     return float(abs(np.vdot(b, g)) / cert) if cert > 0 else 0.0
 
 
-def _coordinate_ascent(
-    b0: np.ndarray, g: np.ndarray, z_samples: np.ndarray, bern: float, iters: int = 200
-) -> np.ndarray:
-    """Coordinate-wise complex ascent with first-improvement acceptance.
+def _lawson(g: np.ndarray, degree_cap: int) -> np.ndarray:
+    """Near-optimal b for max Re <b, g> subject to |h_b(t_k)| <= 1.
 
-    Eight candidate perturbations per coefficient (four phases, two
-    magnitudes), shrinking step, deterministic sweep order.
+    The dual problem is the minimum total variation of a measure nu on the
+    grid t_k with moments Z^H nu = g, Z = [t_k^m].  Lawson's reweighting
+    solves it: with weights w, b = (Z^H W Z)^{-1} g gives the representing
+    measure nu = w * Z b of total variation sum(w u), u = |Z b|, while
+    b / max(u) is feasible on the grid with value sum(w u^2) / max(u).  The
+    loop stops once those two agree to ``_DUAL_GAP``, and otherwise moves
+    weight to where |h_b| peaks, w <- w * u.  A singular or non-finite solve
+    (the weights have collapsed onto fewer nodes than unknowns) ends the
+    loop with the last finite b.
+
+    The grid is t_k = exp(2 pi i k/n), so (Z^H W Z)_ij = c_(j-i) with
+    c_l = sum_k w_k t_k^l, and (Z b)_k = h_b(t_k): both are inverse DFTs,
+    and Z itself is never formed.
     """
-    b = b0.astype(complex).copy()
-    samples = z_samples @ b
-    paired = np.vdot(b, g)
-    asum = float(np.sum(np.abs(b)))
-
-    def objective(p, peak, total):
-        cert = min(peak * bern, total)
-        return abs(p) / cert if cert > 0 else 0.0
-
-    cur = objective(paired, float(np.max(np.abs(samples))), asum)
-    step = 1.0
-    for _ in range(iters):
-        improved = False
-        scale = max(float(np.max(np.abs(b))), 0.2)
-        deltas = np.concatenate([_DIRECTIONS * step * scale, _DIRECTIONS * step * scale / 4])
-        for m in range(b.size):
-            cand_samples = samples[:, None] + np.outer(z_samples[:, m], deltas)
-            peaks = np.max(np.abs(cand_samples), axis=0)
-            cand_pair = paired + np.conjugate(deltas) * g[m]
-            cand_asum = asum - abs(b[m]) + np.abs(b[m] + deltas)
-            certs = np.minimum(peaks * bern, cand_asum)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                objs = np.where(certs > 0, np.abs(cand_pair) / certs, 0.0)
-            better = np.nonzero(objs > cur * (1 + 1e-9))[0]
-            if better.size:
-                j = int(better[0])
-                b[m] += deltas[j]
-                samples = cand_samples[:, j]
-                paired = cand_pair[j]
-                asum = float(cand_asum[j])
-                cur = float(objs[j])
-                improved = True
-        step *= 0.9 if improved else 0.5
-        if step < 1e-7:  # remaining gains are far below every pass margin
+    n = default_sample_count(degree_cap)
+    m = np.arange(g.size)
+    lag = (m[None, :] - m[:, None]) % n  # j - i as an index into the n lags
+    w = np.full(n, 1.0 / n)
+    b = np.zeros(g.size, dtype=complex)
+    for _ in range(_DUAL_ITERS):
+        gram = n * np.fft.ifft(w)[lag]
+        try:
+            with np.errstate(all="ignore"):
+                trial = np.linalg.solve(gram, g)
+                u = np.abs(n * np.fft.ifft(trial, n))
+        except np.linalg.LinAlgError:
             break
+        if not np.all(np.isfinite(u)):
+            break
+        b = trial
+        tv = float(np.dot(w, u))
+        if float(np.dot(w, u * u)) >= tv * float(np.max(u)) * (1.0 - _DUAL_GAP):
+            break
+        w = w * u / tv
     return b
 
 
-def _zeroing_polish(b: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Drop coefficients whose removal improves the tightly certified value.
-
-    Trailing junk inflates the Bernstein degree correction; removing it is
-    always sound because every evaluation re-certifies from scratch.
-    """
-    best = b.copy()
-    val = _tight_value(best, g)
-    for _ in range(3):
-        improved = False
-        for m in range(best.size):
-            if best[m] == 0:
-                continue
-            trial = best.copy()
-            trial[m] = 0
-            if not np.any(trial):
-                continue
-            tv = _tight_value(trial, g)
-            if tv > val * (1 + 1e-15):
-                best, val, improved = trial, tv, True
-        if not improved:
-            break
-    return best, val
-
-
-def _dual_search(
-    g: np.ndarray, degree_cap: int, restarts: int, seed: int
-) -> tuple[float, np.ndarray]:
+def _dual_search(g: np.ndarray, degree_cap: int) -> tuple[float, np.ndarray]:
     """Best certified value of |sum_m conj(b_m) g_m| / sup-cert(b).
 
     Candidates: every monomial (whose certificate is exactly 1 via the
-    coefficient-sum bound), the matched-filter start b = conj(g), and
-    ``restarts`` seeded random starts, each refined by coordinate ascent
-    and a zeroing polish.  Deterministic in the seed; ties keep the
-    earlier candidate.
+    coefficient-sum bound) and the convex solve of ``_lawson``, certified
+    on a fine grid.  Deterministic; ties keep the earlier candidate.
     """
     if degree_cap < 0 or degree_cap > SEARCH_DEGREE_CAP:
         raise ValueError(f"degree_cap must lie in [0, {SEARCH_DEGREE_CAP}]")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     width = degree_cap + 1
     g = np.asarray(g, dtype=complex)[:width]
     if g.size < width:
         g = np.pad(g, (0, width - g.size))
 
+    moduli = np.abs(g)
+    m = int(np.argmax(moduli))  # the first of the best monomials
     best_b = np.zeros(width, dtype=complex)
-    best_b[0] = 1.0
-    best_val = float(abs(g[0]))
-    for m in range(1, width):  # monomial witnesses: cert is exactly 1
-        if abs(g[m]) > best_val * (1 + 1e-15):
-            best_val = float(abs(g[m]))
-            best_b = np.zeros(width, dtype=complex)
-            best_b[m] = 1.0
-
-    n = default_sample_count(degree_cap)
-    z_samples = np.exp(1j * np.outer(circle_angles(n), np.arange(width)))
-    bern = 1.0 / (1.0 - degree_cap * math.pi / n)
-
-    starts = []
-    if np.any(g):
-        starts.append(np.conjugate(g))
-    for k in range(restarts):
-        rng = np.random.default_rng((seed, k))
-        starts.append(rng.uniform(-1, 1, width) + 1j * rng.uniform(-1, 1, width))
-    ascent_best: np.ndarray | None = None
-    ascent_val = 0.0
-    for b0 in starts:
-        b = _coordinate_ascent(b0, g, z_samples, bern)
-        if not np.any(b):
-            continue
-        val = _tight_value(b, g)
-        if ascent_best is None or val > ascent_val * (1 + 1e-15):
-            ascent_best, ascent_val = b, val
-    if ascent_best is not None:
-        b, val = _zeroing_polish(ascent_best, g)
-        if val > best_val * (1 + 1e-15):
-            best_val, best_b = val, b
+    best_b[m] = 1.0
+    best_val = float(moduli[m])
+    b = _lawson(g, degree_cap)
+    val = _tight_value(b, g)  # 0 when g = 0 leaves b = 0
+    if val > best_val * (1 + 1e-15):
+        best_val, best_b = val, b
     return best_val, best_b
 
 
@@ -261,15 +205,10 @@ def _witness_poly(b: np.ndarray, g: np.ndarray) -> DiskAlgebraPoly:
     return DiskAlgebraPoly(tuple(scaled), 1.0)
 
 
-def knorm_lower(
-    mu: AtomicMeasure,
-    degree_cap: int = 8,
-    restarts: int = 8,
-    seed: int = DEFAULT_SEED,
-) -> tuple[float, DiskAlgebraPoly]:
+def knorm_lower(mu: AtomicMeasure, degree_cap: int = 8) -> tuple[float, DiskAlgebraPoly]:
     """Certified lower bound for the transform norm of K_mu, with witness."""
     g = taylor_coeffs(CauchyTransform(mu), degree_cap + 1)
-    value, b = _dual_search(g, degree_cap, restarts, seed)
+    value, b = _dual_search(g, degree_cap)
     return value, _witness_poly(b, g)
 
 
@@ -278,30 +217,28 @@ class NormBracket:
     """Two-sided certificate for a transform norm.
 
     ``lower`` comes from a dual witness, ``upper`` from the total variation
-    of a representing measure; lower > upper (beyond rounding) is a bug in
-    the build, not a property of the inputs.
+    of a representing measure; lower > upper + ``tol`` is a bug in the
+    build, not a property of the inputs.
     """
 
     lower: float
     upper: float
     witness_h: DiskAlgebraPoly
     witness_mu: AtomicMeasure
+    tol: float = field(default=SANDWICH_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lower > self.upper + SANDWICH_TOL:
+        if self.lower > self.upper + self.tol:
             raise ValueError(
                 f"duality sandwich violated: lower {self.lower!r} > upper {self.upper!r}"
             )
 
 
 def knorm_bracket(
-    mu: AtomicMeasure,
-    degree_cap: int = 8,
-    restarts: int = 8,
-    seed: int = DEFAULT_SEED,
+    mu: AtomicMeasure, degree_cap: int = 8, tol: float = SANDWICH_TOL
 ) -> NormBracket:
-    lower, witness = knorm_lower(mu, degree_cap, restarts, seed)
-    return NormBracket(lower, tv_norm(mu), witness, mu)
+    lower, witness = knorm_lower(mu, degree_cap)
+    return NormBracket(lower, tv_norm(mu), witness, mu, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +280,11 @@ def composition_knorm_lower(
     mu: AtomicMeasure,
     phi: DiskSelfMap,
     degree_cap: int = 8,
-    restarts: int = 8,
-    seed: int = DEFAULT_SEED,
     scheme: RadialScheme | None = None,
 ) -> tuple[float, DiskAlgebraPoly]:
     """Certified lower bound for the transform norm of (K_mu) o phi."""
     g = composition_moments(mu, phi, degree_cap + 1, scheme)
-    value, b = _dual_search(g, degree_cap, restarts, seed)
+    value, b = _dual_search(g, degree_cap)
     return value, _witness_poly(b, g)
 
 
@@ -385,15 +320,13 @@ def verify_lemma2(
     mu: AtomicMeasure,
     a,
     degree_cap: int = 8,
-    restarts: int = 8,
-    seed: int = DEFAULT_SEED,
     tol: float = PASS_MARGIN,
 ) -> VerificationReport:
     """Check the Möbius composition bound: lower(f o lambda_a) <= (1+2|a|)/(1-|a|) * tv."""
     t0 = time.perf_counter()
     a_pt = a if isinstance(a, DiskPoint) else DiskPoint(complex(a))
     phi = MobiusSelfMap(MobiusMap(a_pt))
-    lower, witness = composition_knorm_lower(mu, phi, degree_cap, restarts, seed)
+    lower, witness = composition_knorm_lower(mu, phi, degree_cap)
     upper = tv_norm(mu)
     bound = bound_cima_matheson(abs(a_pt.value))
     passed = lower <= bound * upper + tol
@@ -413,8 +346,6 @@ def verify_lemma1(
     mu: AtomicMeasure,
     psi: DiskSelfMap,
     degree_cap: int = 8,
-    restarts: int = 8,
-    seed: int = DEFAULT_SEED,
     tol: float = PASS_MARGIN,
 ) -> VerificationReport:
     """Check the base-point-fixing contraction: lower(f o psi) <= tv."""
@@ -422,7 +353,7 @@ def verify_lemma1(
     psi0 = abs(psi.at_zero())
     if psi0 > 1e-12:
         raise PreconditionError(f"precondition psi(0)=0 violated: |psi(0)| = {psi0:.3g}")
-    lower, witness = composition_knorm_lower(mu, psi, degree_cap, restarts, seed)
+    lower, witness = composition_knorm_lower(mu, psi, degree_cap)
     upper = tv_norm(mu)
     passed = lower <= upper + tol
     return VerificationReport(
@@ -442,8 +373,6 @@ def verify_eq1(
     mu: AtomicMeasure,
     phi: DiskSelfMap,
     degree_cap: int = 8,
-    restarts: int = 8,
-    seed: int = DEFAULT_SEED,
     tol: float = PASS_MARGIN,
     residual_tol: float = DEFAULT_TOLERANCES["factorize_residual"],
     base_point_tol: float = DEFAULT_TOLERANCES["base_point"],
@@ -458,12 +387,12 @@ def verify_eq1(
     base, psi = schwarz_factorize(phi)
     residual = factorization_residual(phi, base, psi)
     psi0 = abs(psi.at_zero())
-    mobius_step = verify_lemma2(mu, base, degree_cap, restarts, seed, tol)
+    mobius_step = verify_lemma2(mu, base, degree_cap, tol)
     if isinstance(phi, MobiusSelfMap):
         # phi is lambda_a with a = phi(0): the Möbius step solved this problem.
         lower, witness_obj = mobius_step.lower, mobius_step.witnesses["h"]
     else:
-        lower, witness = composition_knorm_lower(mu, phi, degree_cap, restarts, seed)
+        lower, witness = composition_knorm_lower(mu, phi, degree_cap)
         witness_obj = poly_to_obj(witness)
     upper = tv_norm(mu)
     bound = bound_cima_matheson(abs(base.value))
@@ -519,20 +448,15 @@ class ScanRow:
         return self.bound - self.ratio
 
 
-def _scan_row(a: float, degree_cap: int, restarts: int, seed: int) -> ScanRow:
+def _scan_row(a: float, degree_cap: int) -> ScanRow:
     mu = point_mass(0.0)
     phi = MobiusSelfMap(MobiusMap(DiskPoint(complex(a))))
-    lower, _ = composition_knorm_lower(mu, phi, degree_cap, restarts, seed)
+    lower, _ = composition_knorm_lower(mu, phi, degree_cap)
     # tv(mu) = 1, so the certified lower bound is the ratio itself.
     return ScanRow(a=a, ratio=lower, bound=bound_cima_matheson(a), measure=mu)
 
 
-def sharpness_scan(
-    a_values,
-    degree_cap: int = 6,
-    seed: int = DEFAULT_SEED,
-    restarts: int = 4,
-) -> list[ScanRow]:
+def sharpness_scan(a_values, degree_cap: int = 6) -> list[ScanRow]:
     """Certify how much of the ceiling (1 + 2a)/(1 - a) the extremal measure
     reaches for each real a in [0, 0.95].
 
@@ -558,5 +482,5 @@ def sharpness_scan(
     for a in a_values:
         if not 0.0 <= a <= 0.95:
             raise ValueError("scan values must lie in [0, 0.95]")
-        rows.append(_scan_row(float(a), degree_cap, restarts, seed))
+        rows.append(_scan_row(float(a), degree_cap))
     return rows

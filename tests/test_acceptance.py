@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
+from conftest import sample_unit_ball
 from cstrans.circle import CirclePoint, DiskPoint, MobiusMap
-from cstrans.disk_algebra import make_poly, sample_unit_ball
+from cstrans.disk_algebra import make_poly
 from cstrans.kernel_op import p_lambda_closed_form, p_phi_at_stable, p_phi_radial_limit
 from cstrans.measures import (
     atomic_measure,
@@ -95,11 +96,11 @@ def test_criterion_2_bound_identity_and_termwise_triangle():
 def test_criterion_3_mobius_composition_bound():
     with _Clock("3 Möbius composition bound", 60):
         mu = point_mass(0.0)
-        bracket = knorm_bracket(mu, seed=SEED)
+        bracket = knorm_bracket(mu)
         assert bracket.upper - bracket.lower <= 1e-6  # norm pinned to 1
         for a in (0.0, 0.25, 0.5, 0.75):
             phi = MobiusSelfMap(MobiusMap(DiskPoint(a)))
-            lower, _ = composition_knorm_lower(mu, phi, seed=SEED)
+            lower, _ = composition_knorm_lower(mu, phi)
             ceiling = bound_cima_matheson(a)
             if a == 0.5:
                 assert ceiling == 4.0
@@ -117,7 +118,7 @@ def test_criterion_4_factorization_pipeline():
             base, psi = schwarz_factorize(phi)
             assert abs(psi.at_zero()) <= 1e-14
             assert factorization_residual(phi, base, psi) <= 1e-12
-            report = verify_eq1(mu, phi, seed=SEED)
+            report = verify_eq1(mu, phi)
             assert report.passed, f"pipeline failed for {obj}"
 
 
@@ -132,7 +133,7 @@ def test_criterion_5_squaring_map_exact_case():
             via_kernel = np.conjugate(p_phi_radial_limit(z2, h, CirclePoint(0.0)))
             via_pushforward = pairing(pushed, h)
             assert abs(via_kernel - via_pushforward) <= 1e-8
-        bracket = knorm_bracket(pushed, seed=SEED)
+        bracket = knorm_bracket(pushed)
         assert bracket.upper == pytest.approx(1.0, abs=1e-15)
         assert bracket.lower >= 1.0 - 1e-3
 
@@ -142,7 +143,7 @@ def test_criterion_6_duality_sandwich():
         doc = standard_fixtures()
         fixtures = [measure_from_obj(m) for m in doc["measures"]]
         for mu in fixtures:
-            lower, _ = knorm_lower(mu, seed=SEED)
+            lower, _ = knorm_lower(mu)
             assert lower <= tv_norm(mu) + 1e-9
         pinned = [
             (point_mass(0.0), 1.0),
@@ -151,7 +152,7 @@ def test_criterion_6_duality_sandwich():
             (atomic_measure([(0.0, 1.0), (math.pi, -1.0)]), 2.0),
         ]
         for mu, target in pinned:
-            lower, _ = knorm_lower(mu, seed=SEED)
+            lower, _ = knorm_lower(mu)
             assert lower == pytest.approx(target, abs=1e-3)
             assert lower <= tv_norm(mu) + 1e-9
 
@@ -169,7 +170,7 @@ def test_criterion_7_bound_dominance():
 def test_criterion_8_sharpness_scan_honesty():
     with _Clock("8 sharpness scan honesty", 300):
         a_values = [round(0.1 * k, 1) for k in range(10)]
-        rows = sharpness_scan(a_values, degree_cap=6, seed=SEED)
+        rows = sharpness_scan(a_values, degree_cap=6)
         for row in rows:
             assert row.ratio <= row.bound + 1e-8
         assert rows[0].a == 0.0
@@ -187,7 +188,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             proc = subprocess.run(
                 [
                     sys.executable, "-m", "cstrans", "verify-bound",
-                    "--fixtures", "standard", "--seed", "20240001", "--out", str(out),
+                    "--fixtures", "standard", "--out", str(out),
                 ],
                 capture_output=True,
             )

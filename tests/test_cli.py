@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cstrans.cli import RunConfig, run
+from cstrans.cli import RunConfig, main, run
 
 RUNTIME = re.compile(r'"runtime_ms": [0-9.eE+-]+')
 
@@ -72,7 +72,7 @@ class TestExitCodes:
         }
         path = write_fixture(tmp_path, doc)
         cfg = RunConfig("verify-bound", fixtures=path, output=str(tmp_path / "rep.json"),
-                        degree_cap=4, restarts=1)
+                        degree_cap=4)
         assert run(cfg) == 0
         cfg.tolerances = {"factorize_residual": 1e-17}
         assert run(cfg) == 1
@@ -86,7 +86,7 @@ class TestExitCodes:
             ],
             "cases": [{"measure": 0, "self_map": 0}, {"measure": 0, "self_map": 1}],
         }
-        cfg = RunConfig("verify-bound", fixtures=write_fixture(tmp_path, doc), degree_cap=4, restarts=1)
+        cfg = RunConfig("verify-bound", fixtures=write_fixture(tmp_path, doc), degree_cap=4)
         assert run(cfg) == 2
         err = capsys.readouterr().err
         assert "cases[1]: " in err and "did not stabilize" in err
@@ -148,9 +148,41 @@ class TestFixtureHandling:
         assert lines[0] == "a,ratio,bound,margin,atom_count"
         assert len(lines) == 3
 
+    def test_sharpness_scan_honours_degree_cap(self, tmp_path):
+        doc = {"measures": [], "self_maps": [], "cases": [{"a_values": [0.5]}]}
+        out = tmp_path / "scan.json"
+        args = ["sharpness-scan", "--fixtures", write_fixture(tmp_path, doc), "--out", str(out)]
+        assert main(args + ["--degree-cap", "2"]) == 0
+        assert json.loads(out.read_text())["reports"][0]["inputs"]["degree_cap"] == 2
+
+    def test_sandwich_tolerance_reaches_the_bracket(self, tmp_path, capsys):
+        # lower = upper = 1 for a point mass, so only a negative slack fails
+        doc = {"measures": [[{"angle": 0.0, "re": 1.0, "im": 0.0}]], "self_maps": [],
+               "cases": [{"measure": 0, "degree_cap": 2}]}
+        args = ["norm-estimate", "--fixtures", write_fixture(tmp_path, doc),
+                "--out", str(tmp_path / "ne.json")]
+        assert main(args) == 0
+        assert main(args + ["--tol", "sandwich=-1"]) == 2
+        assert "cases[0]: duality sandwich violated" in capsys.readouterr().err
+
+    def test_norm_estimate_does_not_import_scipy(self, tmp_path):
+        # scipy.optimize would add about 48 MB to every CLI process
+        doc = {"measures": [[{"angle": 0.0, "re": 1.0, "im": 0.0}]], "self_maps": [],
+               "cases": [{"measure": 0}]}
+        script = (
+            "import sys\n"
+            "from cstrans.cli import main\n"
+            f"code = main(['norm-estimate', '--fixtures', {write_fixture(tmp_path, doc)!r},"
+            f" '--out', {str(tmp_path / 'ne.json')!r}])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+
     def test_norm_estimate_standard(self, tmp_path):
         out = tmp_path / "ne.json"
-        assert run(RunConfig("norm-estimate", output=str(out), restarts=2)) == 0
+        assert run(RunConfig("norm-estimate", output=str(out))) == 0
         doc = json.loads(out.read_text())
         for rep in doc["reports"]:
             assert rep["lower"] <= rep["upper"] + 1e-9
@@ -162,7 +194,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "cstrans", "verify-lemma2",
-                "--fixtures", "standard", "--seed", "20240001", "--out", str(out),
+                "--fixtures", "standard", "--out", str(out),
             ],
             capture_output=True,
             text=True,

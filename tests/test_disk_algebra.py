@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import sample_unit_ball
 from cstrans.disk_algebra import (
     DiskAlgebraPoly,
     certify_sup_norm,
@@ -13,7 +14,6 @@ from cstrans.disk_algebra import (
     monomial,
     poly_degree,
     poly_eval,
-    sample_unit_ball,
 )
 
 

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conftest import sample_unit_ball
 from cstrans.circle import (
     CirclePoint,
     DiskPoint,
@@ -13,7 +14,7 @@ from cstrans.circle import (
     circle_angles,
     grid_integrate,
 )
-from cstrans.disk_algebra import make_poly, sample_unit_ball
+from cstrans.disk_algebra import make_poly
 from cstrans.kernel_op import (
     RadialScheme,
     limit_route,

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import sample_unit_ball
 from cstrans.circle import CirclePoint, DiskPoint, MobiusMap, QuadratureGrid, refine_until_stable
-from cstrans.disk_algebra import make_poly, sample_unit_ball
+from cstrans.disk_algebra import default_sample_count, make_poly
 from cstrans.kernel_op import monomial_radial_limits, p_phi_radial_limit
 from cstrans.measures import (
+    CauchyTransform,
     atomic_measure,
     monomial_pushforward,
     point_mass,
+    taylor_coeffs,
     tv_norm,
 )
 from cstrans.norm_engine import (
@@ -29,6 +32,8 @@ from cstrans.norm_engine import (
     verify_eq1,
     verify_lemma1,
     verify_lemma2,
+    _dual_search,
+    _witness_poly,
 )
 from cstrans.self_maps import ComposedMap, MobiusSelfMap, PolynomialMap, schwarz_factorize
 
@@ -108,18 +113,103 @@ class TestLowerBounds:
                 [(rng.uniform(0, 2 * math.pi), complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) or 1.0)
                  for _ in range(int(rng.integers(1, 5)))]
             )
-            bracket = knorm_bracket(mu, degree_cap=6, restarts=2)
+            bracket = knorm_bracket(mu, degree_cap=6)
             assert bracket.lower <= bracket.upper + 1e-9
 
     def test_bracket_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             NormBracket(2.0, 1.0, make_poly([1.0]), D1)
 
+    def test_bracket_checks_the_callers_tolerance(self):
+        h = make_poly([1.0])
+        assert NormBracket(1.0 + 1e-7, 1.0, h, D1, tol=1e-6).lower == 1.0 + 1e-7
+        with pytest.raises(ValueError, match="duality sandwich violated"):
+            NormBracket(1.0 + 1e-7, 1.0, h, D1)
+        # knorm_bracket hands its tolerance on: lower = upper = 1 fails at -1
+        assert knorm_bracket(D1, degree_cap=2, tol=1e-6).upper == 1.0
+        with pytest.raises(ValueError, match="duality sandwich violated"):
+            knorm_bracket(D1, degree_cap=2, tol=-1.0)
+
     def test_search_validation(self):
         with pytest.raises(ValueError):
             knorm_lower(D1, degree_cap=65)
-        with pytest.raises(ValueError):
-            knorm_lower(D1, restarts=0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 2 * math.pi, exclude_max=True),
+                st.floats(0.1, 1.0),
+                st.floats(0.0, 2 * math.pi),
+            ),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda atom: round(atom[0], 6),
+        ),
+        st.integers(0, 12),
+    )
+    def test_search_is_bracketed_on_measure_moments(self, atoms, d):
+        # A single atom draws the solve's weights onto one node, so its
+        # weighted Gram matrix grows ill-conditioned (about 1e5 at d = 12).
+        mu = atomic_measure([(t, r * complex(math.cos(p), math.sin(p))) for t, r, p in atoms])
+        g = taylor_coeffs(CauchyTransform(mu), d + 1)
+        value, witness = knorm_lower(mu, d)
+        assert math.isfinite(value)
+        assert value >= float(np.max(np.abs(g)))
+        assert value <= tv_norm(mu) * (1 + 1e-12)
+        assert witness.certified_sup == 1.0
+        assert abs(pairing(mu, witness)) == pytest.approx(value, rel=1e-12)
+
+    @given(
+        st.integers(0, 12),
+        st.sampled_from(["random", "zero", "atom"]),
+        st.integers(0, 10**6),
+    )
+    def test_search_is_bracketed_on_any_moments(self, d, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            g = rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1)
+        elif kind == "zero":
+            g = np.zeros(d + 1, dtype=complex)
+        else:  # one atom on a node of the solve's grid
+            n = default_sample_count(d)
+            g = np.exp(-2j * math.pi * int(rng.integers(0, n)) * np.arange(d + 1) / n)
+        value, b = _dual_search(g, d)
+        witness = _witness_poly(b, g)
+        assert math.isfinite(value)
+        assert value >= float(np.max(np.abs(g)))
+        # |<b, g>| <= ||b||_2 ||g||_2 <= sup|h_b| ||g||_2 bounds every value
+        assert value <= float(np.linalg.norm(g)) * (1 + 1e-12)
+        assert witness.certified_sup == 1.0
+        paired = abs(np.vdot(np.array(witness.coeffs), g))
+        assert paired == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("failure", ["singular", "non-finite"])
+    @pytest.mark.parametrize("good_solves", [0, 2])
+    def test_search_survives_a_failed_solve(self, monkeypatch, failure, good_solves):
+        solve = np.linalg.solve
+        calls = []
+
+        def failing_solve(a, b):
+            calls.append(1)
+            if len(calls) <= good_solves:
+                return solve(a, b)
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        g = np.array([1.0, 0.5j, -0.25, 0.1])
+        value, b = _dual_search(g, 3)
+        assert len(calls) == good_solves + 1
+        assert math.isfinite(value) and value >= 1.0
+        assert np.all(np.isfinite(b))
+
+    def test_search_is_monotone_in_degree(self):
+        # A higher cap only adds unknowns, so the solve must not lose value.
+        phi = MobiusSelfMap(MobiusMap(DiskPoint(0.5)))
+        low, _ = composition_knorm_lower(D1, phi, degree_cap=8)
+        high, _ = composition_knorm_lower(D1, phi, degree_cap=16)
+        assert high >= low * (1 - 1e-3)
 
 
 class TestBounds:
@@ -183,8 +273,8 @@ class TestVerifiers:
     def test_eq1_mobius_reuses_the_mobius_step(self):
         # phi = lambda_a is its own Möbius step, so one search serves both
         phi = MobiusSelfMap(MobiusMap(DiskPoint(0.25)))
-        rep = verify_eq1(DIPOLE, phi, degree_cap=6, restarts=2)
-        lower, witness = composition_knorm_lower(DIPOLE, phi, degree_cap=6, restarts=2)
+        rep = verify_eq1(DIPOLE, phi, degree_cap=6)
+        lower, witness = composition_knorm_lower(DIPOLE, phi, degree_cap=6)
         assert rep.lower == rep.witnesses["mobius_step"]["lower"] == lower
         assert rep.witnesses["h"]["coeffs"] == [[c.real, c.imag] for c in witness.coeffs]
 
@@ -239,7 +329,7 @@ class TestCompositionConsistency:
 
     def test_composition_lower_bounded_by_ceiling(self):
         phi = MobiusSelfMap(MobiusMap(DiskPoint(0.75)))
-        value, _ = composition_knorm_lower(D1, phi, degree_cap=6, restarts=2)
+        value, _ = composition_knorm_lower(D1, phi, degree_cap=6)
         assert value <= bound_cima_matheson(0.75) + 1e-8
 
 
@@ -271,20 +361,25 @@ class TestSharpnessScan:
 
     def test_rows_certify_the_point_mass_at_one(self):
         a_values = [0.0, 0.3, 0.95]
-        rows = sharpness_scan(a_values, degree_cap=4, restarts=2, seed=11)
+        rows = sharpness_scan(a_values, degree_cap=4)
         for a, row in zip(a_values, rows):
             assert row.measure == point_mass(0.0)
             assert row.atom_count == 1
             phi = MobiusSelfMap(MobiusMap(DiskPoint(complex(a))))
-            lower, _ = composition_knorm_lower(D1, phi, 4, 2, 11)
+            lower, _ = composition_knorm_lower(D1, phi, 4)
             assert row.ratio == lower
 
     def test_small_scan(self):
-        rows = sharpness_scan([0.0, 0.5], degree_cap=6, restarts=2)
+        rows = sharpness_scan([0.0, 0.5], degree_cap=6)
         assert rows[0].ratio >= 1.0 - 1e-6
         for row in rows:
             assert row.ratio <= row.bound + 1e-8
             assert 1 <= row.atom_count <= 4
+
+    def test_half_reaches_most_of_the_ceiling(self):
+        # the ceiling is 4; the convex solve certifies 3.487 at this cap
+        (row,) = sharpness_scan([0.5], degree_cap=6)
+        assert row.ratio >= 3.45
 
     def test_scan_validates_range(self):
         with pytest.raises(ValueError):
