@@ -32,7 +32,6 @@ from .measures import (
     AtomicMeasure,
     CauchyTransform,
     atomic_measure,
-    cauchy_eval,
     monomial_pushforward,
     point_mass,
     taylor_coeffs,
@@ -43,15 +42,12 @@ from .norm_engine import (
     PreconditionError,
     ScanRow,
     VerificationReport,
-    bound_bourdon_cima,
     bound_cima_matheson,
     composition_knorm_lower,
     composition_moments,
     knorm_bracket,
     knorm_lower,
     pairing,
-    pairing_quadrature,
-    pairing_radial,
     sharpness_scan,
     verify_eq1,
     verify_lemma1,

@@ -88,17 +88,6 @@ class CauchyTransform:
     measure: AtomicMeasure
 
 
-def cauchy_eval(f: CauchyTransform, z):
-    """Evaluate the transform at z (scalar or array), |z| < 1 strictly."""
-    if np.max(np.abs(z)) >= 1.0:
-        raise ValueError("Cauchy transforms are evaluated strictly inside the disk")
-    zeta_bar = np.conjugate(f.measure.positions)
-    w = f.measure.weights
-    zz = np.asarray(z)
-    vals = np.sum(w / (1.0 - np.multiply.outer(zz, zeta_bar)), axis=-1)
-    return complex(vals) if np.ndim(z) == 0 else vals
-
-
 def taylor_coeffs(f: CauchyTransform, count: int) -> np.ndarray:
     """First ``count`` Taylor coefficients: hat(mu)(k) = sum_j c_j conj(zeta_j)^k.
 

@@ -20,13 +20,13 @@ the closed-form / series routes of ``kernel_op``.  The searched suprema
 are reported as achieved values, never as the true sup.
 
 The dual search is one convex solve (Lawson's reweighting for the
-minimum-total-variation representing measure on a circle grid): it is
+minimum-total-variation representing measure on a circle grid), skipped
+when a Carathéodory–Toeplitz test proves the best monomial optimal: it is
 deterministic and has no tuning knobs.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -48,7 +48,6 @@ from .kernel_op import RadialScheme, limit_route, monomial_limit_evaluator
 from .measures import (
     AtomicMeasure,
     CauchyTransform,
-    cauchy_eval,
     measure_to_obj,
     point_mass,
     taylor_coeffs,
@@ -87,23 +86,6 @@ def pairing(mu: AtomicMeasure, h: DiskAlgebraPoly) -> complex:
     return complex(np.sum(mu.weights * np.conjugate(poly_eval(h, mu.positions))))
 
 
-def pairing_radial(mu: AtomicMeasure, h: DiskAlgebraPoly, r: float) -> complex:
-    """The pairing integral at fixed radius r, in closed form."""
-    if not 0.0 < r <= 1.0:
-        raise ValueError("r must lie in (0, 1]")
-    return complex(np.sum(mu.weights * np.conjugate(poly_eval(h, r * mu.positions))))
-
-
-def pairing_quadrature(mu, h, r, grid) -> complex:
-    """Direct quadrature of integral f(r t) conj(h(t)) dm(t) on one grid."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("quadrature form needs 0 < r < 1")
-    t = grid.nodes
-    f = CauchyTransform(mu)
-    samples = cauchy_eval(f, r * t) * np.conjugate(poly_eval(h, t))
-    return complex(np.mean(samples))
-
-
 # ---------------------------------------------------------------------------
 # Certified lower-bound search.  The objective |sum_m conj(b_m) g_m| / cert(b)
 # is scale invariant and every evaluation is a valid lower bound, so the
@@ -112,6 +94,11 @@ def pairing_quadrature(mu, h, r, grid) -> complex:
 # Relative duality gap at which the reweighting stops, and its iteration cap.
 _DUAL_GAP = 1e-3
 _DUAL_ITERS = 2000
+# Slack of the monomial-optimality test, relative to |g_m|: the shift added
+# to the Toeplitz matrix and the summed asymmetry |c_(-l) - conj(c_l)| it
+# tolerates.  2 * shift + asymmetry bounds the value the test can forgo.
+_PSD_SHIFT = 4e-13
+_ASYMMETRY = 2e-13
 
 
 def _tight_cert(b: np.ndarray) -> float:
@@ -151,22 +138,63 @@ def _lawson(g: np.ndarray, degree_cap: int) -> np.ndarray:
     lag = (m[None, :] - m[:, None]) % n  # j - i as an index into the n lags
     w = np.full(n, 1.0 / n)
     b = np.zeros(g.size, dtype=complex)
-    for _ in range(_DUAL_ITERS):
-        gram = n * np.fft.ifft(w)[lag]
-        try:
-            with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for _ in range(_DUAL_ITERS):
+            gram = n * np.fft.ifft(w)[lag]
+            try:
                 trial = np.linalg.solve(gram, g)
-                u = np.abs(n * np.fft.ifft(trial, n))
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(u)):
-            break
-        b = trial
-        tv = float(np.dot(w, u))
-        if float(np.dot(w, u * u)) >= tv * float(np.max(u)) * (1.0 - _DUAL_GAP):
-            break
-        w = w * u / tv
+            except np.linalg.LinAlgError:
+                break
+            u = np.abs(n * np.fft.ifft(trial, n))
+            if not np.isfinite(u).all():
+                break
+            b = trial
+            tv = float(np.dot(w, u))
+            if float(np.dot(w, u * u)) >= tv * float(u.max()) * (1.0 - _DUAL_GAP):
+                break
+            w = w * u / tv
     return b
+
+
+def _monomial_is_optimal(g: np.ndarray, m: int) -> bool:
+    """True when a measure with moments g has total variation |g_m|, up to a
+    relative 1e-12, so that no witness beats the monomial z^m.
+
+    Equality |g_m| = ||nu|| forces dnu = e^{i alpha} t^m d|nu| (the F. and
+    M. Riesz equality case), with alpha = arg g_m.  So the test asks whether
+    c_l = e^{-i alpha} g_{m+l}, l = -m .. d-m, are moments of a positive
+    measure.  Where both c_l and c_{-l} are given, they must be conjugate;
+    otherwise the missing side is filled by conjugation.  By the
+    Carathéodory–Toeplitz theorem (Grenander and Szegő, *Toeplitz Forms and
+    Their Applications*, 1958) the sequence is then a moment sequence iff its
+    (L+1) x (L+1) Hermitian Toeplitz matrix T, L = max(m, d-m), is positive
+    semidefinite; the test asks Cholesky to factor T + delta I.  If it
+    does, e^{i alpha} t^m times a positive measure representing T + delta I,
+    less delta e^{i alpha} t^m dm and one multiple of a monomial times dm
+    per asymmetric pair, has moments exactly g and total variation at most
+    |g_m| + 2 delta + asymmetry = |g_m| (1 + 1e-12) in exact arithmetic.
+    Every certified value is at most that.
+    """
+    gm = abs(g[m])
+    if gm == 0.0:
+        return True
+    d = g.size - 1
+    c = g * (np.conjugate(g[m]) / gm)  # c[m + l] = c_l
+    pairs = np.arange(1, min(m, d - m) + 1)  # lags given on both sides
+    if float(np.abs(c[m - pairs] - np.conjugate(c[m + pairs])).sum()) > _ASYMMETRY * gm:
+        return False
+    lags = np.arange(max(m, d - m) + 1)
+    col = np.where(
+        m + lags <= d, c[np.minimum(m + lags, d)], np.conjugate(c[np.maximum(m - lags, 0)])
+    )
+    col[0] = gm
+    lag = lags[:, None] - lags[None, :]
+    toeplitz = np.where(lag >= 0, col[np.abs(lag)], np.conjugate(col[np.abs(lag)]))
+    try:
+        np.linalg.cholesky(toeplitz + _PSD_SHIFT * gm * np.eye(lags.size))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _dual_search(g: np.ndarray, degree_cap: int) -> tuple[float, np.ndarray]:
@@ -175,6 +203,12 @@ def _dual_search(g: np.ndarray, degree_cap: int) -> tuple[float, np.ndarray]:
     Candidates: every monomial (whose certificate is exactly 1 via the
     coefficient-sum bound) and the convex solve of ``_lawson``, certified
     on a fine grid.  Deterministic; ties keep the earlier candidate.
+
+    The solve is skipped when ``_monomial_is_optimal`` proves, by a
+    Carathéodory–Toeplitz test on g, that some measure with moments g has
+    total variation at most |g_m| (1 + 1e-12) for the best monomial z^m:
+    no certified value exceeds that, so the skip forgoes at most a relative
+    1e-12 (point-mass moments, for instance, skip it).
     """
     if degree_cap < 0 or degree_cap > SEARCH_DEGREE_CAP:
         raise ValueError(f"degree_cap must lie in [0, {SEARCH_DEGREE_CAP}]")
@@ -188,8 +222,10 @@ def _dual_search(g: np.ndarray, degree_cap: int) -> tuple[float, np.ndarray]:
     best_b = np.zeros(width, dtype=complex)
     best_b[m] = 1.0
     best_val = float(moduli[m])
+    if _monomial_is_optimal(g, m):
+        return best_val, best_b
     b = _lawson(g, degree_cap)
-    val = _tight_value(b, g)  # 0 when g = 0 leaves b = 0
+    val = _tight_value(b, g)  # 0 when a failed first solve leaves b = 0
     if val > best_val * (1 + 1e-15):
         best_val, best_b = val, b
     return best_val, best_b
@@ -249,13 +285,6 @@ def bound_cima_matheson(a_mod: float) -> float:
     if not 0.0 <= a_mod < 1.0:
         raise ValueError("a_mod must lie in [0, 1)")
     return (1.0 + 2.0 * a_mod) / (1.0 - a_mod)
-
-
-def bound_bourdon_cima(a_mod: float) -> float:
-    """(2 + 2 sqrt 2) / (1 - |a|) for |a| in [0, 1)."""
-    if not 0.0 <= a_mod < 1.0:
-        raise ValueError("a_mod must lie in [0, 1)")
-    return (2.0 + 2.0 * math.sqrt(2.0)) / (1.0 - a_mod)
 
 
 # ---------------------------------------------------------------------------

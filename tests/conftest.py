@@ -1,7 +1,10 @@
+import math
+
 import hypothesis
 import numpy as np
 
 from cstrans.disk_algebra import DiskAlgebraPoly, certified_sup, default_sample_count
+from cstrans.measures import CauchyTransform
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=60
@@ -30,3 +33,21 @@ def sample_unit_ball(degree: int, seed: int) -> DiskAlgebraPoly:
     # itself a sound certificate; take the smaller of the two.
     cert = min(certified_sup(scaled, n), 1.0)
     return DiskAlgebraPoly(tuple(scaled), cert)
+
+
+def cauchy_eval(f: CauchyTransform, z):
+    """Evaluate the transform at z (scalar or array), |z| < 1 strictly."""
+    if np.max(np.abs(z)) >= 1.0:
+        raise ValueError("Cauchy transforms are evaluated strictly inside the disk")
+    zeta_bar = np.conjugate(f.measure.positions)
+    w = f.measure.weights
+    zz = np.asarray(z)
+    vals = np.sum(w / (1.0 - np.multiply.outer(zz, zeta_bar)), axis=-1)
+    return complex(vals) if np.ndim(z) == 0 else vals
+
+
+def bound_bourdon_cima(a_mod: float) -> float:
+    """(2 + 2 sqrt 2) / (1 - |a|) for |a| in [0, 1)."""
+    if not 0.0 <= a_mod < 1.0:
+        raise ValueError("a_mod must lie in [0, 1)")
+    return (2.0 + 2.0 * math.sqrt(2.0)) / (1.0 - a_mod)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import sample_unit_ball
+from conftest import bound_bourdon_cima, sample_unit_ball
 from cstrans.circle import CirclePoint, DiskPoint, MobiusMap
 from cstrans.disk_algebra import make_poly
 from cstrans.kernel_op import p_lambda_closed_form, p_phi_at_stable, p_phi_radial_limit
@@ -26,7 +26,6 @@ from cstrans.measures import (
     tv_norm,
 )
 from cstrans.norm_engine import (
-    bound_bourdon_cima,
     bound_cima_matheson,
     composition_knorm_lower,
     knorm_bracket,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -207,3 +208,20 @@ class TestEntryPoint:
     def test_stdout_when_no_output_path(self, capsys):
         assert run(RunConfig("factorize")) == 0
         assert '"command": "factorize"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["verify-bound", "norm-estimate"])
+    def test_reports_do_not_depend_on_blas_threads(self, command):
+        # The dual search's products are FFTs, not BLAS calls whose
+        # summation order follows the thread count.
+        outputs = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "cstrans", command, "--fixtures", "standard"],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(strip_runtimes(proc.stdout))
+        assert outputs[0] == outputs[1]

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import cauchy_eval
 from cstrans.measures import (
     AtomicMeasure,
     CauchyTransform,
     atomic_measure,
-    cauchy_eval,
     measure_from_obj,
     measure_to_obj,
     monomial_pushforward,

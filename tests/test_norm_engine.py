@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import sample_unit_ball
+from conftest import bound_bourdon_cima, cauchy_eval, sample_unit_ball
 from cstrans.circle import CirclePoint, DiskPoint, MobiusMap, QuadratureGrid, refine_until_stable
-from cstrans.disk_algebra import default_sample_count, make_poly
+from cstrans.disk_algebra import default_sample_count, make_poly, poly_eval
 from cstrans.kernel_op import monomial_radial_limits, p_phi_radial_limit
 from cstrans.measures import (
     CauchyTransform,
@@ -19,20 +19,20 @@ from cstrans.measures import (
 from cstrans.norm_engine import (
     NormBracket,
     PreconditionError,
-    bound_bourdon_cima,
     bound_cima_matheson,
     composition_knorm_lower,
     composition_moments,
     knorm_bracket,
     knorm_lower,
     pairing,
-    pairing_quadrature,
-    pairing_radial,
     sharpness_scan,
     verify_eq1,
     verify_lemma1,
     verify_lemma2,
     _dual_search,
+    _lawson,
+    _monomial_is_optimal,
+    _tight_value,
     _witness_poly,
 )
 from cstrans.self_maps import ComposedMap, MobiusSelfMap, PolynomialMap, schwarz_factorize
@@ -40,6 +40,22 @@ from cstrans.self_maps import ComposedMap, MobiusSelfMap, PolynomialMap, schwarz
 D1 = point_mass(0.0)
 DIPOLE = atomic_measure([(0.0, 1.0), (math.pi, -1.0)])
 DSUM = atomic_measure([(0.0, 1.0), (math.pi, 1.0)])
+
+
+def pairing_radial(mu, h, r):
+    """The pairing integral at fixed radius r, in closed form."""
+    if not 0.0 < r <= 1.0:
+        raise ValueError("r must lie in (0, 1]")
+    return complex(np.sum(mu.weights * np.conjugate(poly_eval(h, r * mu.positions))))
+
+
+def pairing_quadrature(mu, h, r, grid):
+    """Direct quadrature of integral f(r t) conj(h(t)) dm(t) on one grid."""
+    if not 0.0 < r < 1.0:
+        raise ValueError("quadrature form needs 0 < r < 1")
+    t = grid.nodes
+    samples = cauchy_eval(CauchyTransform(mu), r * t) * np.conjugate(poly_eval(h, t))
+    return complex(np.mean(samples))
 
 
 class TestPairing:
@@ -198,11 +214,21 @@ class TestLowerBounds:
             return np.full_like(b, np.nan)
 
         monkeypatch.setattr(np.linalg, "solve", failing_solve)
-        g = np.array([1.0, 0.5j, -0.25, 0.1])
+        # Möbius-shaped moments that no monomial certifies, so the solve runs
+        g = np.array([4 / 3, 5 / 3, 5 / 3, 5 / 3])
         value, b = _dual_search(g, 3)
         assert len(calls) == good_solves + 1
         assert math.isfinite(value) and value >= 1.0
         assert np.all(np.isfinite(b))
+
+    def test_certified_monomial_skips_the_solve(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+        value, b = _dual_search(np.array([1.0, 0.5j, -0.25, 0.1]), 3)
+        assert calls == []
+        assert value == 1.0
+        assert np.array_equal(b, [1.0, 0.0, 0.0, 0.0])
 
     def test_search_is_monotone_in_degree(self):
         # A higher cap only adds unknowns, so the solve must not lose value.
@@ -210,6 +236,71 @@ class TestLowerBounds:
         low, _ = composition_knorm_lower(D1, phi, degree_cap=8)
         high, _ = composition_knorm_lower(D1, phi, degree_cap=16)
         assert high >= low * (1 - 1e-3)
+
+
+class TestMonomialCertificate:
+    """The Carathéodory–Toeplitz test that lets the dual search skip its solve."""
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True), st.floats(0.1, 1.0)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda atom: round(atom[0], 6),
+        ),
+        st.integers(0, 12),
+        st.integers(0, 12),
+        st.floats(0.0, 2 * math.pi),
+    )
+    def test_rotated_positive_measures_pass(self, atoms, d, m, alpha):
+        # nu = e^{i alpha} t^m sigma with sigma >= 0 has |g_m| = ||nu||
+        m = min(m, d)
+        turn = complex(math.cos(alpha), math.sin(alpha))
+        nu = atomic_measure(
+            [(t, r * turn * complex(math.cos(m * t), math.sin(m * t))) for t, r in atoms]
+        )
+        g = taylor_coeffs(CauchyTransform(nu), d + 1)
+        best = int(np.argmax(np.abs(g)))
+        assert _monomial_is_optimal(g, best)
+        value, b = _dual_search(g, d)
+        assert value == float(np.max(np.abs(g)))
+        assert value == pytest.approx(tv_norm(nu), rel=1e-12)
+        assert np.count_nonzero(b) == 1 and b[best] == 1.0
+
+    @given(
+        st.integers(0, 12),
+        st.sampled_from(["random", "aligned constant plus atom", "constant plus atom", "signed atoms"]),
+        st.integers(0, 10**6),
+    )
+    def test_passing_bounds_the_solve(self, d, kind, seed):
+        rng = np.random.default_rng(seed)
+        k = np.arange(d + 1)
+        if kind == "random":
+            g = rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1)
+        elif kind == "signed atoms":
+            zeta = np.exp(2j * math.pi * rng.uniform(0, 1, int(rng.integers(2, 5))))
+            weights = rng.choice([-1.0, 1.0], zeta.size) * rng.uniform(0.1, 1.0, zeta.size)
+            g = weights @ np.conjugate(zeta)[:, None] ** k
+        else:  # s dm + r delta_zeta: positive when the two phases agree
+            s, r = rng.uniform(0.1, 1.0, 2)
+            turns = np.exp(2j * math.pi * rng.uniform(0, 1, 2))
+            if kind.startswith("aligned"):
+                turns[1] = turns[0]
+            zeta = np.exp(2j * math.pi * rng.uniform(0, 1))
+            g = r * turns[1] * np.conjugate(zeta) ** k
+            g[0] += s * turns[0]
+        m = int(np.argmax(np.abs(g)))
+        passed = _monomial_is_optimal(g, m)
+        if kind.startswith("aligned"):
+            assert passed and m == 0
+        if passed:
+            assert _tight_value(_lawson(g, d), g) <= abs(g[m]) * (1 + 1e-12)
+
+    def test_mobius_moments_fail(self):
+        # D1 under lambda_0.75 at cap 8: the solve certifies about 8.73 > 7
+        g = np.array([4.0] + [7.0] * 8, dtype=complex)
+        assert not _monomial_is_optimal(g, 1)
+        assert _dual_search(g, 8)[0] > 8.7
 
 
 class TestBounds:
