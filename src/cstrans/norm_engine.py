@@ -183,15 +183,19 @@ def _monomial_is_optimal(g: np.ndarray, m: int) -> bool:
     pairs = np.arange(1, min(m, d - m) + 1)  # lags given on both sides
     if float(np.abs(c[m - pairs] - np.conjugate(c[m + pairs])).sum()) > _ASYMMETRY * gm:
         return False
-    lags = np.arange(max(m, d - m) + 1)
-    col = np.where(
-        m + lags <= d, c[np.minimum(m + lags, d)], np.conjugate(c[np.maximum(m - lags, 0)])
-    )
-    col[0] = gm
-    lag = lags[:, None] - lags[None, :]
-    toeplitz = np.where(lag >= 0, col[np.abs(lag)], np.conjugate(col[np.abs(lag)]))
+    # T is built by slicing and indexing one two-sided sequence: np.where and
+    # friends would fault in about 0.2 MB more of numpy's code per process.
+    top = max(m, d - m)  # L
+    seq = np.zeros(2 * top + 1, dtype=complex)  # seq[top + l] = c_l
+    lo, hi = top - m, top - m + d + 1  # the given lags, -m .. d-m
+    seq[lo:hi] = c
+    mirror = np.conjugate(seq[::-1])
+    seq[:lo], seq[hi:] = mirror[:lo], mirror[hi:]
+    seq[top] = gm
+    lags = np.arange(top + 1)
+    toeplitz = seq[top + lags[:, None] - lags[None, :]]
     try:
-        np.linalg.cholesky(toeplitz + _PSD_SHIFT * gm * np.eye(lags.size))
+        np.linalg.cholesky(toeplitz + _PSD_SHIFT * gm * np.eye(top + 1))
     except np.linalg.LinAlgError:
         return False
     return True
