@@ -30,9 +30,7 @@ from .kernel_op import (
 )
 from .measures import (
     AtomicMeasure,
-    CauchyTransform,
     atomic_measure,
-    monomial_pushforward,
     point_mass,
     taylor_coeffs,
     tv_norm,

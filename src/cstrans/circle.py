@@ -69,13 +69,6 @@ class CirclePoint:
     def value(self) -> complex:
         return cmath.exp(1j * self.angle)
 
-    @classmethod
-    def from_complex(cls, z: complex, tol: float = 1e-9) -> "CirclePoint":
-        """Project a (numerically) unimodular number onto the circle."""
-        if abs(abs(z) - 1.0) > tol:
-            raise ValueError(f"not on the unit circle: {z!r}")
-        return cls(cmath.phase(z))
-
 
 @dataclass(frozen=True)
 class MobiusMap:

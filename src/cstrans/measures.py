@@ -2,7 +2,8 @@
 
 An atomic measure is a finite list of (circle point, complex weight)
 pairs.  Its Cauchy transform ``f(z) = sum_j c_j / (1 - conj(zeta_j) z)``
-is analytic on the open disk, and the total variation ``sum_j |c_j|`` is
+is analytic on the open disk, with Taylor coefficients the measure's
+moments (``taylor_coeffs``), and the total variation ``sum_j |c_j|`` is
 an upper bound for the transform norm taken over all representing
 measures (the matching lower bound comes from the dual pairing in
 ``norm_engine``).
@@ -81,15 +82,9 @@ def tv_norm(mu: AtomicMeasure) -> float:
     return float(np.sum(np.abs(mu.weights)))
 
 
-@dataclass(frozen=True)
-class CauchyTransform:
-    """The function f(z) = sum_j c_j / (1 - conj(zeta_j) z), analytic on |z| < 1."""
-
-    measure: AtomicMeasure
-
-
-def taylor_coeffs(f: CauchyTransform, count: int) -> np.ndarray:
-    """First ``count`` Taylor coefficients: hat(mu)(k) = sum_j c_j conj(zeta_j)^k.
+def taylor_coeffs(mu: AtomicMeasure, count: int) -> np.ndarray:
+    """First ``count`` Taylor coefficients of the Cauchy transform of mu:
+    hat(mu)(k) = sum_j c_j conj(zeta_j)^k.
 
     These are exact moments of the measure; the transform equals
     ``sum_k hat(mu)(k) z^k`` with a geometric tail controlled by tv_norm.
@@ -98,26 +93,9 @@ def taylor_coeffs(f: CauchyTransform, count: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     if count > MAX_TAYLOR_COUNT:
         raise ValueError(f"count capped at {MAX_TAYLOR_COUNT}")
-    zeta_bar = np.conjugate(f.measure.positions)
+    zeta_bar = np.conjugate(mu.positions)
     powers = zeta_bar[:, None] ** np.arange(count)[None, :]
-    return f.measure.weights @ powers
-
-
-def monomial_pushforward(mu: AtomicMeasure, n: int) -> AtomicMeasure:
-    """The measure nu with K_nu(z) = K_mu(z^n).
-
-    Each atom (zeta, c) spreads over the n-th roots of zeta with weight
-    c/n, so the total variation is preserved exactly.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return mu
-    pairs = []
-    for pos, w in mu.atoms:
-        for m in range(n):
-            pairs.append(((pos.angle + TWO_PI * m) / n, w / n))
-    return atomic_measure(pairs)
+    return mu.weights @ powers
 
 
 # JSON literal: array of {"angle": <radians>, "re": <re>, "im": <im>}.

@@ -3,8 +3,9 @@ import math
 import hypothesis
 import numpy as np
 
+from cstrans.circle import TWO_PI
 from cstrans.disk_algebra import DiskAlgebraPoly, certified_sup, default_sample_count
-from cstrans.measures import CauchyTransform
+from cstrans.measures import AtomicMeasure, atomic_measure
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=60
@@ -35,12 +36,12 @@ def sample_unit_ball(degree: int, seed: int) -> DiskAlgebraPoly:
     return DiskAlgebraPoly(tuple(scaled), cert)
 
 
-def cauchy_eval(f: CauchyTransform, z):
-    """Evaluate the transform at z (scalar or array), |z| < 1 strictly."""
+def cauchy_eval(mu: AtomicMeasure, z):
+    """Evaluate the Cauchy transform of mu at z (scalar or array), |z| < 1 strictly."""
     if np.max(np.abs(z)) >= 1.0:
         raise ValueError("Cauchy transforms are evaluated strictly inside the disk")
-    zeta_bar = np.conjugate(f.measure.positions)
-    w = f.measure.weights
+    zeta_bar = np.conjugate(mu.positions)
+    w = mu.weights
     zz = np.asarray(z)
     vals = np.sum(w / (1.0 - np.multiply.outer(zz, zeta_bar)), axis=-1)
     return complex(vals) if np.ndim(z) == 0 else vals
@@ -51,3 +52,20 @@ def bound_bourdon_cima(a_mod: float) -> float:
     if not 0.0 <= a_mod < 1.0:
         raise ValueError("a_mod must lie in [0, 1)")
     return (2.0 + 2.0 * math.sqrt(2.0)) / (1.0 - a_mod)
+
+
+def monomial_pushforward(mu: AtomicMeasure, n: int) -> AtomicMeasure:
+    """The measure nu with K_nu(z) = K_mu(z^n).
+
+    Each atom (zeta, c) spreads over the n-th roots of zeta with weight
+    c/n, so the total variation is preserved exactly.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return mu
+    pairs = []
+    for pos, w in mu.atoms:
+        for m in range(n):
+            pairs.append(((pos.angle + TWO_PI * m) / n, w / n))
+    return atomic_measure(pairs)

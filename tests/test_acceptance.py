@@ -14,14 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bound_bourdon_cima, sample_unit_ball
+from conftest import bound_bourdon_cima, monomial_pushforward, sample_unit_ball
 from cstrans.circle import CirclePoint, DiskPoint, MobiusMap
 from cstrans.disk_algebra import make_poly
 from cstrans.kernel_op import p_lambda_closed_form, p_phi_at_stable, p_phi_radial_limit
 from cstrans.measures import (
     atomic_measure,
     measure_from_obj,
-    monomial_pushforward,
     point_mass,
     tv_norm,
 )

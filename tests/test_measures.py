@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cauchy_eval
+from conftest import cauchy_eval, monomial_pushforward
 from cstrans.measures import (
     AtomicMeasure,
-    CauchyTransform,
     atomic_measure,
     measure_from_obj,
     measure_to_obj,
-    monomial_pushforward,
     point_mass,
     taylor_coeffs,
     tv_norm,
@@ -51,23 +49,23 @@ class TestConstruction:
 
 class TestCauchyEval:
     def test_point_mass_values(self):
-        f = CauchyTransform(point_mass(0.0))
-        assert cauchy_eval(f, 0.0) == pytest.approx(1.0)
-        assert cauchy_eval(f, 0.5) == pytest.approx(2.0)
+        mu = point_mass(0.0)
+        assert cauchy_eval(mu, 0.0) == pytest.approx(1.0)
+        assert cauchy_eval(mu, 0.5) == pytest.approx(2.0)
 
     def test_two_atom_derived_value(self):
         mu = atomic_measure([(0.0, 0.5), (math.pi, 0.5)])
-        got = cauchy_eval(CauchyTransform(mu), 0.6j)
+        got = cauchy_eval(mu, 0.6j)
         oracle = 0.5 / (1 - 0.6j) + 0.5 / (1 + 0.6j)
         assert got == pytest.approx(oracle, abs=1e-15)
         assert got == pytest.approx(1 / 1.36, abs=1e-12)
 
     def test_rejects_boundary(self):
-        f = CauchyTransform(point_mass(0.0))
+        mu = point_mass(0.0)
         with pytest.raises(ValueError):
-            cauchy_eval(f, 1.0)
+            cauchy_eval(mu, 1.0)
         with pytest.raises(ValueError):
-            cauchy_eval(f, np.array([0.2, 1.0 + 1e-9j]))
+            cauchy_eval(mu, np.array([0.2, 1.0 + 1e-9j]))
 
     def test_additive_in_the_measure(self):
         rng = np.random.default_rng(5)
@@ -77,38 +75,37 @@ class TestCauchyEval:
             combined = atomic_measure(
                 [(p.angle, w) for p, w in m1.atoms] + [(p.angle, w) for p, w in m2.atoms]
             )
-            lhs = cauchy_eval(CauchyTransform(combined), z)
-            rhs = cauchy_eval(CauchyTransform(m1), z) + cauchy_eval(CauchyTransform(m2), z)
+            lhs = cauchy_eval(combined, z)
+            rhs = cauchy_eval(m1, z) + cauchy_eval(m2, z)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 class TestTaylor:
     def test_examples(self):
-        ones = taylor_coeffs(CauchyTransform(point_mass(0.0)), 5)
+        ones = taylor_coeffs(point_mass(0.0), 5)
         assert np.allclose(ones, np.ones(5))
-        quarters = taylor_coeffs(CauchyTransform(point_mass(math.pi / 2)), 4)
+        quarters = taylor_coeffs(point_mass(math.pi / 2), 4)
         assert np.allclose(quarters, [1, -1j, -1, 1j], atol=1e-12)
         half = atomic_measure([(0.0, 0.5), (math.pi, 0.5)])
-        assert np.allclose(taylor_coeffs(CauchyTransform(half), 4), [1, 0, 1, 0], atol=1e-12)
+        assert np.allclose(taylor_coeffs(half, 4), [1, 0, 1, 0], atol=1e-12)
 
     def test_count_validation(self):
-        f = CauchyTransform(point_mass(0.0))
+        mu = point_mass(0.0)
         with pytest.raises(ValueError):
-            taylor_coeffs(f, 0)
+            taylor_coeffs(mu, 0)
         with pytest.raises(ValueError):
-            taylor_coeffs(f, (1 << 12) + 1)
+            taylor_coeffs(mu, (1 << 12) + 1)
 
     def test_series_consistency_tail_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             mu = random_measure(rng)
-            f = CauchyTransform(mu)
             z = rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             for count in (5, 20, 60):
-                coeffs = taylor_coeffs(f, count)
+                coeffs = taylor_coeffs(mu, count)
                 partial = np.polyval(coeffs[::-1], z)
                 tail = 2 * tv_norm(mu) * 0.9**count / 0.1
-                assert abs(cauchy_eval(f, z) - partial) <= tail
+                assert abs(cauchy_eval(mu, z) - partial) <= tail
 
 
 class TestPushforward:
@@ -122,20 +119,20 @@ class TestPushforward:
         assert angles == pytest.approx([0.0, math.pi])
         assert all(w == pytest.approx(0.5) for _, w in nu.atoms)
         # K_nu must equal K_mu(z^2): compare Taylor data against the dilation
-        base = taylor_coeffs(CauchyTransform(point_mass(0.0)), 25)
+        base = taylor_coeffs(point_mass(0.0), 25)
         dilated = np.zeros(50, dtype=complex)
         dilated[::2] = base
-        assert np.max(np.abs(taylor_coeffs(CauchyTransform(nu), 50) - dilated)) <= 1e-12
+        assert np.max(np.abs(taylor_coeffs(nu, 50) - dilated)) <= 1e-12
 
     def test_square_of_point_mass_at_i(self):
         nu = monomial_pushforward(point_mass(math.pi / 2), 2)
         assert sorted(p.angle for p, _ in nu.atoms) == pytest.approx(
             [math.pi / 4, math.pi / 4 + math.pi]
         )
-        base = taylor_coeffs(CauchyTransform(point_mass(math.pi / 2)), 25)
+        base = taylor_coeffs(point_mass(math.pi / 2), 25)
         dilated = np.zeros(50, dtype=complex)
         dilated[::2] = base
-        assert np.max(np.abs(taylor_coeffs(CauchyTransform(nu), 50) - dilated)) <= 1e-12
+        assert np.max(np.abs(taylor_coeffs(nu, 50) - dilated)) <= 1e-12
 
     @given(st.integers(1, 6), st.floats(0, 2 * math.pi), st.integers(0, 10**6))
     def test_tv_preserved(self, n, angle, wseed):

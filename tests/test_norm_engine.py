@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bound_bourdon_cima, cauchy_eval, sample_unit_ball
+from conftest import bound_bourdon_cima, cauchy_eval, monomial_pushforward, sample_unit_ball
 from cstrans.circle import CirclePoint, DiskPoint, MobiusMap, QuadratureGrid, refine_until_stable
 from cstrans.disk_algebra import default_sample_count, make_poly, poly_eval
 from cstrans.kernel_op import monomial_radial_limits, p_phi_radial_limit
 from cstrans.measures import (
-    CauchyTransform,
     atomic_measure,
-    monomial_pushforward,
     point_mass,
     taylor_coeffs,
     tv_norm,
@@ -29,8 +27,8 @@ from cstrans.norm_engine import (
     verify_eq1,
     verify_lemma1,
     verify_lemma2,
+    _barrier,
     _dual_search,
-    _lawson,
     _monomial_is_optimal,
     _tight_value,
     _witness_poly,
@@ -54,7 +52,7 @@ def pairing_quadrature(mu, h, r, grid):
     if not 0.0 < r < 1.0:
         raise ValueError("quadrature form needs 0 < r < 1")
     t = grid.nodes
-    samples = cauchy_eval(CauchyTransform(mu), r * t) * np.conjugate(poly_eval(h, t))
+    samples = cauchy_eval(mu, r * t) * np.conjugate(poly_eval(h, t))
     return complex(np.mean(samples))
 
 
@@ -167,7 +165,7 @@ class TestLowerBounds:
         # A single atom draws the solve's weights onto one node, so its
         # weighted Gram matrix grows ill-conditioned (about 1e5 at d = 12).
         mu = atomic_measure([(t, r * complex(math.cos(p), math.sin(p))) for t, r, p in atoms])
-        g = taylor_coeffs(CauchyTransform(mu), d + 1)
+        g = taylor_coeffs(mu, d + 1)
         value, witness = knorm_lower(mu, d)
         assert math.isfinite(value)
         assert value >= float(np.max(np.abs(g)))
@@ -230,6 +228,43 @@ class TestLowerBounds:
         assert value == 1.0
         assert np.array_equal(b, [1.0, 0.0, 0.0, 0.0])
 
+    def test_search_clears_a_slow_scan_row(self):
+        # An iteration-capped reweighting stops at 1.02297 on this scan row;
+        # the ceiling (1 + 2a)/(1 - a) is 1.03229.
+        a = 0.010649859654141596
+        g = composition_moments(D1, MobiusSelfMap(MobiusMap(DiskPoint(a))), 7)
+        value, _ = _dual_search(g, 6)
+        assert value >= 1.0254
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 2 * math.pi, exclude_max=True),
+                st.floats(0.1, 1.0),
+                st.floats(0.0, 2 * math.pi),
+            ),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda atom: round(atom[0], 6),
+        ),
+        st.one_of(st.none(), st.floats(0.0, 0.9)),
+        st.integers(1, 12),
+    )
+    def test_barrier_stays_strictly_feasible(self, atoms, a, d):
+        # The moments of mu itself (a is None), bounded by tv, or of mu
+        # under lambda_a, bounded by the ceiling (1 + 2a)/(1 - a) times tv.
+        mu = atomic_measure([(t, r * complex(math.cos(p), math.sin(p))) for t, r, p in atoms])
+        if a is None:
+            g, ceiling = taylor_coeffs(mu, d + 1), tv_norm(mu)
+        else:
+            g = composition_moments(mu, MobiusSelfMap(MobiusMap(DiskPoint(a))), d + 1)
+            ceiling = bound_cima_matheson(a) * tv_norm(mu)
+        b = _barrier(g, d)
+        n = 2 * default_sample_count(d)
+        assert float(np.abs(n * np.fft.ifft(b, n)).max()) < 1.0
+        value, _ = _dual_search(g, d)
+        assert float(np.max(np.abs(g))) <= value <= ceiling * (1 + 1e-12)
+
     def test_search_is_monotone_in_degree(self):
         # A higher cap only adds unknowns, so the solve must not lose value.
         phi = MobiusSelfMap(MobiusMap(DiskPoint(0.5)))
@@ -259,7 +294,7 @@ class TestMonomialCertificate:
         nu = atomic_measure(
             [(t, r * turn * complex(math.cos(m * t), math.sin(m * t))) for t, r in atoms]
         )
-        g = taylor_coeffs(CauchyTransform(nu), d + 1)
+        g = taylor_coeffs(nu, d + 1)
         best = int(np.argmax(np.abs(g)))
         assert _monomial_is_optimal(g, best)
         value, b = _dual_search(g, d)
@@ -294,7 +329,7 @@ class TestMonomialCertificate:
         if kind.startswith("aligned"):
             assert passed and m == 0
         if passed:
-            assert _tight_value(_lawson(g, d), g) <= abs(g[m]) * (1 + 1e-12)
+            assert _tight_value(_barrier(g, d), g) <= abs(g[m]) * (1 + 1e-12)
 
     def test_mobius_moments_fail(self):
         # D1 under lambda_0.75 at cap 8: the solve certifies about 8.73 > 7
@@ -398,11 +433,9 @@ class TestCompositionConsistency:
             assert abs(via_kernel - via_pushforward) <= 1e-8
 
     def test_moment_vectors_match_pushforward_taylor(self):
-        from cstrans.measures import CauchyTransform, taylor_coeffs
-
         z2 = PolynomialMap((0.0, 0.0, 1.0))
         got = composition_moments(D1, z2, 8)
-        want = taylor_coeffs(CauchyTransform(monomial_pushforward(D1, 2)), 8)
+        want = taylor_coeffs(monomial_pushforward(D1, 2), 8)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_moments_equal_the_per_atom_sum(self):
