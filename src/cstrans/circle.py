@@ -47,7 +47,7 @@ class DiskPoint:
     def __post_init__(self) -> None:
         v = complex(self.value)
         object.__setattr__(self, "value", v)
-        if abs(v) >= 1.0 - DISK_EDGE_TOL:
+        if not abs(v) < 1.0 - DISK_EDGE_TOL:  # also rejects NaN
             raise ValueError(f"not strictly inside the unit disk: {v!r}")
 
 

@@ -2,10 +2,19 @@
 
 The dual pairing in ``norm_engine`` ranges over the unit ball of the disk
 algebra; polynomials are dense there and admit a cheap rigorous sup-norm
-certificate.  Sampling |h| at N equispaced circle points and dividing the
-maximum by (1 - d*pi/N) gives a guaranteed upper bound, because the
-derivative bound |h'| <= d * sup|h| on the circle limits how much |h| can
-grow between adjacent samples (inter-sample half-gap pi/N).
+certificate from N equispaced samples t_k = exp(2 pi i k/N).  For h of
+degree d, T(theta) = |h(e^{i theta})|^2 is a nonnegative trigonometric
+polynomial of degree d with sup T = sup|h|^2, and Bernstein's inequality
+applied twice gives |T''| <= d^2 sup T on the circle (Borwein and
+Erdélyi, *Polynomials and Polynomial Inequalities*, Springer 1995,
+chapter 5).  T attains its maximum at some theta*, where T'(theta*) = 0,
+and the nearest node lies within pi/N of theta*, so Taylor's theorem gives
+
+    max_k T(theta_k) >= sup T (1 - d^2 pi^2 / (2 N^2)).
+
+Dividing the sampled peak of |h| by sqrt(1 - (d pi/N)^2 / 2) therefore
+bounds sup|h| from above; the loss is quadratic in d pi/N.  Horner's
+rounding in the samples is not counted.
 """
 
 from __future__ import annotations
@@ -84,8 +93,11 @@ def boundary_samples(coeffs, sample_count: int) -> np.ndarray:
 def certify_sup_norm(coeffs, sample_count: int) -> float:
     """Certified upper bound for sup |h| on the circle from equispaced samples.
 
-    Returns max_k |h(t_k)| / (1 - d*pi/N).  Requires N > pi*d so the
-    correction factor is positive.
+    Returns max_k |h(t_k)| / sqrt(1 - (d pi/N)^2 / 2), which dominates
+    sup |h| because the squared modulus, a nonnegative trigonometric
+    polynomial of degree d, falls by at most a factor 1 - (d pi/N)^2 / 2
+    from its maximum to the nearest node (the module docstring has the
+    proof).  The bound needs N > pi d / sqrt(2); the check asks for N > pi d.
     """
     arr = _as_coeff_array(coeffs)
     d = poly_degree(arr)
@@ -94,7 +106,7 @@ def certify_sup_norm(coeffs, sample_count: int) -> float:
     if not np.any(arr):
         return 0.0
     peak = float(np.max(np.abs(boundary_samples(arr, sample_count))))
-    return peak / (1.0 - d * math.pi / sample_count)
+    return peak / math.sqrt(1.0 - 0.5 * (d * math.pi / sample_count) ** 2)
 
 
 def certified_sup(coeffs, sample_count: int | None = None) -> float:

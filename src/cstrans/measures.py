@@ -11,6 +11,7 @@ measures (the matching lower bound comes from the dual pairing in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -116,8 +117,10 @@ def measure_from_obj(obj: Sequence, where: str = "measure") -> AtomicMeasure:
             raise ValueError(f"{where}[{i}]: expected an atom object")
         try:
             angle = float(atom["angle"])
-            w = complex(float(atom.get("re", 0.0)), float(atom.get("im", 0.0)))
+            re, im = float(atom.get("re", 0.0)), float(atom.get("im", 0.0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{where}[{i}]: bad atom fields ({exc})") from exc
-        pairs.append((angle, w))
+        if not all(map(math.isfinite, (angle, re, im))):
+            raise ValueError(f"{where}[{i}]: atom fields must be finite numbers")
+        pairs.append((angle, complex(re, im)))
     return atomic_measure(pairs)

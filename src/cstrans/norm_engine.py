@@ -39,10 +39,7 @@ from .disk_algebra import (
     SEARCH_DEGREE_CAP,
     DiskAlgebraPoly,
     certified_sup,
-    coefficient_sum_bound,
     default_sample_count,
-    monomial,
-    poly_degree,
     poly_eval,
     poly_to_obj,
 )
@@ -109,19 +106,19 @@ _PSD_SHIFT = 4e-13
 _ASYMMETRY = 2e-13
 
 
-def _tight_cert(b: np.ndarray) -> float:
-    # Over-estimation factor 1/(1 - d pi/n) stays below 1.002 for every d;
-    # the witnesses behind the pinned sandwich values reduce to single
-    # monomials whose coefficient-sum certificate is exact anyway.
-    d = poly_degree(b)
-    if d == 0:  # a constant's coefficient sum is exact
-        return coefficient_sum_bound(b)
-    return certified_sup(b, max(1 << 14, 2048 * d))
+def _tight_value(b: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
+    """The certified value |<b, g>| / cert(b) and the witness b / cert(b),
+    whose certificate is then 1; (0, b) when b = 0.
 
-
-def _tight_value(b: np.ndarray, g: np.ndarray) -> float:
-    cert = _tight_cert(b)
-    return float(abs(np.vdot(b, g)) / cert) if cert > 0 else 0.0
+    cert(b) samples h_b on the grid that ``_barrier`` constrains, 2 *
+    ``default_sample_count`` nodes, where the second-order certificate
+    over-estimates by a factor of at most 1/sqrt(1 - (pi/128)^2 / 2), about
+    1 + 1.5e-4, well inside the solve's own ``_DUAL_GAP``.
+    """
+    cert = certified_sup(b, 2 * default_sample_count(b.size - 1))
+    if cert == 0.0:
+        return 0.0, b
+    return float(abs(np.vdot(b, g)) / cert), b / cert
 
 
 def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
@@ -139,7 +136,8 @@ def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
     dual variable per node), so the solve stops once 2n/t <= ``_DUAL_GAP``
     Re <b, g>, the factor 2 leaving room for the approximate centring.  The
     grid is twice the certificate's default because |h_b| overshoots
-    between nodes, which the fine-grid certificate then charges.
+    between nodes: ``_tight_value`` certifies b on this same grid, where its
+    second-order bound charges at most a relative 1.5e-4 for the overshoot.
 
     Every product is an FFT and Z = [t_k^m] is never formed: h_b = n
     ifft(b), the gradient is 2 fft(h/s)[m] - t g_m, and with q = 2/s^2 the
@@ -147,7 +145,9 @@ def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
     Toeplitz with T_ij = n ifft(q)[j - i] and H Hankel with H_ij = n
     ifft(q conj(h)^2)[i + j], that is the real block matrix
     [[Re(T + H), -Im(T + H)], [Im(T - H), Re(T - H)]] on (Re delta, Im
-    delta).  The only dense work is one real 2(d+1)-square solve per step,
+    delta); both lag sequences come from one ifft of the stacked pair, and
+    the slack s of an accepted line-search point serves the next step.
+    The only dense work is one real 2(d+1)-square solve per step,
     and g is first scaled to max |g_m| = 1, which leaves the maximiser
     unchanged.  Each iterate is strictly feasible on the grid; a
     singular or non-finite solve, a non-finite objective or a failed line
@@ -167,24 +167,24 @@ def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
     hess = np.empty((2 * w, 2 * w))
     h = np.zeros(n, dtype=complex)  # h_b on the grid
 
-    def objective(b: np.ndarray, h: np.ndarray, t: float) -> float:  # F_t(b)
+    def objective(b: np.ndarray, h: np.ndarray, t: float) -> tuple[float, np.ndarray]:
+        # F_t(b), and the slack s that the next Newton step reuses
         s = 1.0 - (h.real * h.real + h.imag * h.imag)
         if not s.min() > 0.0:
-            return np.inf
-        return -t * float(np.vdot(b, g).real) - float(np.log(s).sum())
+            return np.inf, s
+        return -t * float(np.vdot(b, g).real) - float(np.log(s).sum()), s
 
     t = n / float(np.linalg.norm(g))  # at least n / sqrt(d + 1)
     with np.errstate(all="ignore"):
         for _ in range(_BARRIER_ROUNDS):
-            value = objective(b, h, t)
+            value, s = objective(b, h, t)
             for _ in range(_NEWTON_STEPS):
                 if not np.isfinite(value):
                     return b
-                s = 1.0 - (h.real * h.real + h.imag * h.imag)
                 grad = 2.0 * np.fft.fft(h / s)[:w] - t * g
                 q = 2.0 / (s * s)
-                tp = n * np.fft.ifft(q)[toeplitz]
-                hk = n * np.fft.ifft(q * np.conjugate(h) ** 2)[hankel]
+                lags = n * np.fft.ifft(np.stack((q, q * np.conjugate(h) ** 2)))
+                tp, hk = lags[0][toeplitz], lags[1][hankel]
                 hess[:w, :w] = tp.real + hk.real
                 hess[:w, w:] = -tp.imag - hk.imag
                 hess[w:, :w] = tp.imag - hk.imag
@@ -202,11 +202,15 @@ def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
                 step = p[:w] + 1j * p[w:]
                 dh = n * np.fft.ifft(step, n)
                 tau, slope = 1.0, 0.25 * decrement  # Armijo: F falls by tau * slope
-                while (trial := objective(b + tau * step, h + tau * dh, t)) > value - tau * slope:
+                while True:
+                    trial_b, trial_h = b + tau * step, h + tau * dh
+                    trial, trial_s = objective(trial_b, trial_h, t)
+                    if not trial > value - tau * slope:
+                        break
                     tau *= 0.5
                     if tau < _MIN_STEP:
                         return b
-                b, h, value = b + tau * step, h + tau * dh, trial
+                b, h, value, s = trial_b, trial_h, trial, trial_s
             if 2.0 * n <= _DUAL_GAP * t * float(np.vdot(b, g).real):
                 break
             t *= _BARRIER_STEP
@@ -259,14 +263,16 @@ def _monomial_is_optimal(g: np.ndarray, m: int) -> bool:
 
 
 def _dual_search(g: np.ndarray, degree_cap: int) -> tuple[float, np.ndarray]:
-    """Best certified value of |sum_m conj(b_m) g_m| / sup-cert(b).
+    """Best certified value of |sum_m conj(b_m) g_m| / sup-cert(b), and its
+    b divided by its certificate, so that sup |h_b| <= 1 is certified and
+    the value is |<b, g>|.
 
     Candidates: every monomial (whose certificate is exactly 1 via the
-    coefficient-sum bound) and the convex solve of ``_barrier``, a
-    log-barrier Newton method on a grid of 2 * ``default_sample_count``
-    nodes that stops once its duality bound 2n/t is within ``_DUAL_GAP`` of
-    the value reached; its b is certified on a fine grid.  Deterministic;
-    ties keep the earlier candidate.
+    coefficient-sum bound, so it is never sampled) and the convex solve of
+    ``_barrier``, a log-barrier Newton method on a grid of 2 *
+    ``default_sample_count`` nodes that stops once its duality bound 2n/t
+    is within ``_DUAL_GAP`` of the value reached; its b is certified once,
+    on that same grid.  Deterministic; ties keep the earlier candidate.
 
     The solve is skipped when ``_monomial_is_optimal`` proves, by a
     Carathéodory–Toeplitz test on g, that some measure with moments g has
@@ -289,27 +295,24 @@ def _dual_search(g: np.ndarray, degree_cap: int) -> tuple[float, np.ndarray]:
     if _monomial_is_optimal(g, m):
         return best_val, best_b
     b = _barrier(g, degree_cap)
-    val = _tight_value(b, g)  # 0 when a failed first solve leaves b = 0
+    val, witness = _tight_value(b, g)  # 0 when a failed first solve leaves b = 0
     if val > best_val * (1 + 1e-15):
-        best_val, best_b = val, b
+        best_val, best_b = val, witness
     return best_val, best_b
 
 
-def _witness_poly(b: np.ndarray, g: np.ndarray) -> DiskAlgebraPoly:
-    cert = _tight_cert(b)
-    if cert == 0.0:
-        return monomial(0)
-    scaled = b / cert
-    # cert dominates the true sup, so the rescaled true sup is <= 1, and it
-    # never exceeds the coefficient sum because cert <= coefsum.
-    return DiskAlgebraPoly(tuple(scaled), 1.0)
+def _witness_poly(b: np.ndarray) -> DiskAlgebraPoly:
+    # _dual_search divided b by a certificate that dominates its true sup,
+    # so the rescaled true sup is <= 1, and 1 never exceeds the coefficient
+    # sum because the certificate is at most the coefficient sum of b.
+    return DiskAlgebraPoly(tuple(b), 1.0)
 
 
 def knorm_lower(mu: AtomicMeasure, degree_cap: int = 8) -> tuple[float, DiskAlgebraPoly]:
     """Certified lower bound for the transform norm of K_mu, with witness."""
     g = taylor_coeffs(mu, degree_cap + 1)
     value, b = _dual_search(g, degree_cap)
-    return value, _witness_poly(b, g)
+    return value, _witness_poly(b)
 
 
 @dataclass(frozen=True)
@@ -378,7 +381,7 @@ def composition_knorm_lower(
     """Certified lower bound for the transform norm of (K_mu) o phi."""
     g = composition_moments(mu, phi, degree_cap + 1, scheme)
     value, b = _dual_search(g, degree_cap)
-    return value, _witness_poly(b, g)
+    return value, _witness_poly(b)
 
 
 @dataclass(frozen=True)

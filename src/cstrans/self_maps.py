@@ -11,6 +11,7 @@ property makes the reconstruction exact up to rounding.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,7 @@ class PolynomialMap(DiskSelfMap):
         if not coeffs:
             raise ValueError("empty coefficient list")
         cert = certified_sup(coeffs)
-        if cert > 1.0 + SUP_BOUND_SLACK:
+        if not cert <= 1.0 + SUP_BOUND_SLACK:  # also rejects NaN
             raise ValueError(
                 f"polynomial is not certified as a self-map: sup bound {cert:.6g} > 1"
             )
@@ -155,10 +156,14 @@ def factorization_residual(
 
 def _c(pair) -> complex:
     if isinstance(pair, (int, float)):
-        return complex(pair)
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
-        return complex(float(pair[0]), float(pair[1]))
-    raise ValueError(f"expected a number or [re, im] pair, got {pair!r}")
+        z = complex(pair)
+    elif isinstance(pair, (list, tuple)) and len(pair) == 2:
+        z = complex(float(pair[0]), float(pair[1]))
+    else:
+        raise ValueError(f"expected a number or [re, im] pair, got {pair!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"expected finite numbers, got {pair!r}")
+    return z
 
 
 def _pair(z: complex) -> list[float]:

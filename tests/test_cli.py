@@ -92,6 +92,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "cases[1]: " in err and "did not stabilize" in err
 
+    @pytest.mark.parametrize(
+        "command, doc, anchor",
+        [
+            ("verify-lemma2", {"measures": [[{"angle": 0.0, "re": math.nan, "im": 0.0}]],
+                               "cases": [{"measure": 0, "a": [0.5, 0.0]}]}, "measures[0][0]"),
+            ("verify-lemma2", {"measures": [[{"angle": math.inf, "re": 1.0, "im": 0.0}]],
+                               "cases": [{"measure": 0, "a": [0.5, 0.0]}]}, "measures[0][0]"),
+            ("factorize", {"self_maps": [{"kind": "mobius", "a": [math.nan, 0.0]}],
+                           "cases": [{"self_map": 0}]}, "self_maps[0]"),
+            ("factorize", {"self_maps": [{"kind": "polynomial", "coeffs": [[0.1, 0.0], [math.nan, 0.0]]}],
+                           "cases": [{"self_map": 0}]}, "self_maps[0]"),
+        ],
+        ids=["atom-weight-nan", "atom-angle-inf", "mobius-a-nan", "polynomial-coeff-nan"],
+    )
+    def test_non_finite_fixture_number_is_input_error(self, tmp_path, capsys, command, doc, anchor):
+        # json writes and reads NaN and Infinity literals
+        code = run(RunConfig(command, fixtures=write_fixture(tmp_path, doc)))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {anchor}: ") and "finite" in err
+
     def test_failed_verification_is_exit_one(self, tmp_path):
         # an impossible tolerance turns a passing comparison into a failure
         out = tmp_path / "kc.json"
@@ -209,7 +230,9 @@ class TestEntryPoint:
         assert run(RunConfig("factorize")) == 0
         assert '"command": "factorize"' in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["verify-bound", "norm-estimate"])
+    @pytest.mark.parametrize(
+        "command", ["verify-bound", "norm-estimate", "verify-lemma2", "sharpness-scan"]
+    )
     def test_reports_do_not_depend_on_blas_threads(self, command):
         # The dual search's products are FFTs, not BLAS calls whose
         # summation order follows the thread count.

@@ -23,6 +23,23 @@ def dense_grid_max(coeffs, factor=10):
     return float(np.max(np.abs(poly_eval(coeffs, t))))
 
 
+def refined_sup(coeffs, factor=10):
+    """sup |h| on the circle: the best node of a dense grid, then a golden-
+    section search for the peak of |h| within one grid spacing of it."""
+    n = factor * default_sample_count(poly_degree(coeffs))
+    k = int(np.argmax(np.abs(poly_eval(coeffs, np.exp(2j * np.pi * np.arange(n) / n)))))
+    mod = lambda x: abs(poly_eval(coeffs, complex(math.cos(x), math.sin(x))))  # noqa: E731
+    lo, hi = 2 * math.pi * (k - 1) / n, 2 * math.pi * (k + 1) / n
+    ratio = (math.sqrt(5) - 1) / 2
+    for _ in range(80):
+        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if mod(x1) < mod(x2):
+            lo = x1
+        else:
+            hi = x2
+    return max(mod(lo), mod(hi), mod(2 * math.pi * k / n))
+
+
 class TestEval:
     def test_examples(self):
         assert poly_eval([1.0], 0.3 + 0.4j) == pytest.approx(1.0)
@@ -40,9 +57,9 @@ class TestCertification:
 
     def test_identity_at_64_samples(self):
         # |z| is 1 at every sample; only the degree correction remains
-        oracle = 1.0 / (1.0 - math.pi / 64)
+        oracle = 1.0 / math.sqrt(1.0 - (math.pi / 64) ** 2 / 2)
         assert certify_sup_norm([0.0, 1.0], 64) == pytest.approx(oracle, abs=1e-15)
-        assert oracle == pytest.approx(1.0516, abs=1e-4)
+        assert oracle == pytest.approx(1.0006, abs=1e-4)
 
     def test_one_plus_z(self):
         got = certify_sup_norm([1.0, 1.0], 1024)
@@ -60,6 +77,14 @@ class TestCertification:
             coeffs = rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1)
             h = make_poly(coeffs)
             assert dense_grid_max(coeffs) <= h.certified_sup + 1e-13
+
+    def test_soundness_when_the_peak_falls_between_nodes(self):
+        # ((1 + e^{i phi} z)/2)^d peaks at 1, at angle -phi; with phi = pi/N
+        # that is midway between two nodes, the worst place for sampling.
+        for d in range(1, 65):
+            for n in (math.floor(math.pi * d) + 1, 64 * d, 128 * d):
+                coeffs = [math.comb(d, k) * np.exp(1j * k * math.pi / n) / 2**d for k in range(d + 1)]
+                assert certify_sup_norm(coeffs, n) >= refined_sup(coeffs), (d, n)
 
     def test_tightness_factor(self):
         rng = np.random.default_rng(12)

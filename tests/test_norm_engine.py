@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import bound_bourdon_cima, cauchy_eval, monomial_pushforward, sample_unit_ball
+from cstrans import disk_algebra
 from cstrans.circle import CirclePoint, DiskPoint, MobiusMap, QuadratureGrid, refine_until_stable
 from cstrans.disk_algebra import default_sample_count, make_poly, poly_eval
 from cstrans.kernel_op import monomial_radial_limits, p_phi_radial_limit
@@ -188,7 +189,7 @@ class TestLowerBounds:
             n = default_sample_count(d)
             g = np.exp(-2j * math.pi * int(rng.integers(0, n)) * np.arange(d + 1) / n)
         value, b = _dual_search(g, d)
-        witness = _witness_poly(b, g)
+        witness = _witness_poly(b)
         assert math.isfinite(value)
         assert value >= float(np.max(np.abs(g)))
         # |<b, g>| <= ||b||_2 ||g||_2 <= sup|h_b| ||g||_2 bounds every value
@@ -227,6 +228,20 @@ class TestLowerBounds:
         assert calls == []
         assert value == 1.0
         assert np.array_equal(b, [1.0, 0.0, 0.0, 0.0])
+
+    def test_search_certifies_its_witness_once(self, monkeypatch):
+        # The solved witness is sampled once, on the solve's own grid, and a
+        # monomial's coefficient-sum certificate of 1 is never sampled.
+        counts = []
+        certify = disk_algebra.certify_sup_norm
+        monkeypatch.setattr(
+            disk_algebra, "certify_sup_norm", lambda c, n: counts.append(n) or certify(c, n)
+        )
+        value, witness = knorm_lower(DIPOLE, 8)  # z wins, by |g_1| = tv = 2
+        assert counts == [] and value == 2.0 and witness.degree == 1
+        value, witness = composition_knorm_lower(D1, MobiusSelfMap(MobiusMap(DiskPoint(0.5))), 8)
+        assert counts == [2 * default_sample_count(8)]
+        assert value > 3.4 and witness.certified_sup == 1.0
 
     def test_search_clears_a_slow_scan_row(self):
         # An iteration-capped reweighting stops at 1.02297 on this scan row;
@@ -329,7 +344,7 @@ class TestMonomialCertificate:
         if kind.startswith("aligned"):
             assert passed and m == 0
         if passed:
-            assert _tight_value(_barrier(g, d), g) <= abs(g[m]) * (1 + 1e-12)
+            assert _tight_value(_barrier(g, d), g)[0] <= abs(g[m]) * (1 + 1e-12)
 
     def test_mobius_moments_fail(self):
         # D1 under lambda_0.75 at cap 8: the solve certifies about 8.73 > 7
