@@ -5,7 +5,6 @@ numerics."""
 from .circle import (
     CirclePoint,
     DiskPoint,
-    MobiusMap,
     NonConvergenceError,
     QuadratureGrid,
     grid_integrate,
@@ -20,7 +19,6 @@ from .disk_algebra import (
     poly_eval,
 )
 from .kernel_op import (
-    RadialScheme,
     monomial_radial_limits,
     p_lambda_closed_form,
     p_phi_at,
@@ -45,7 +43,6 @@ from .norm_engine import (
     composition_moments,
     knorm_bracket,
     knorm_lower,
-    pairing,
     sharpness_scan,
     verify_eq1,
     verify_lemma1,

@@ -70,13 +70,6 @@ class CirclePoint:
         return cmath.exp(1j * self.angle)
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """The disk involution lambda_a(z) = (a - z)/(1 - conj(a) z)."""
-
-    a: DiskPoint
-
-
 def _require_closed_disk(z, tol: float = CLOSED_DISK_TOL) -> None:
     if np.max(np.abs(z)) > 1.0 + tol:
         raise ValueError("argument lies outside the closed unit disk")
@@ -93,7 +86,7 @@ def mobius_lambda(a, z, scale=None):
     return (a - z if scale is None else scale * (a - z)) / denom
 
 
-def mobius_eval(m: MobiusMap, z):
+def mobius_eval(a: DiskPoint, z):
     """Evaluate lambda_a at ``z`` (scalar or array) with |z| <= 1.
 
     Maps the open disk onto itself and the circle onto itself; the
@@ -101,10 +94,9 @@ def mobius_eval(m: MobiusMap, z):
     denominator signals corrupted inputs rather than a user error.
     """
     _require_closed_disk(z)
-    a = m.a.value
-    if np.min(np.abs(1.0 - np.conjugate(a) * z)) < 1e-15:
+    if np.min(np.abs(1.0 - np.conjugate(a.value) * z)) < 1e-15:
         raise ArithmeticError("Möbius denominator vanished on the closed disk")
-    return mobius_lambda(a, z)
+    return mobius_lambda(a.value, z)
 
 
 @dataclass(frozen=True)
@@ -139,28 +131,24 @@ def grid_integrate(grid: QuadratureGrid, samples) -> complex:
     return complex(np.mean(samples))
 
 
-def refine_until_stable(
-    evaluate: Callable[[QuadratureGrid], complex],
-    start: int = DEFAULT_GRID_SIZE,
-    tol: float = GRID_STABILITY_TOL,
-    cap: int = MAX_GRID_SIZE,
-) -> tuple[complex, int]:
-    """Double the grid until two successive values differ by less than ``tol``.
+def refine_until_stable(evaluate: Callable[[QuadratureGrid], complex]) -> tuple[complex, int]:
+    """Double the grid from ``DEFAULT_GRID_SIZE`` nodes until two successive
+    values differ by less than ``GRID_STABILITY_TOL``.
 
     Returns the stabilized value and the node count that achieved it.
-    Raises NonConvergenceError when the cap is reached, which happens for
-    integrands whose analyticity annulus is too thin for the cap.
+    Raises NonConvergenceError when ``MAX_GRID_SIZE`` is reached, which
+    happens for integrands whose analyticity annulus is too thin for it.
     """
-    n = start
+    n = DEFAULT_GRID_SIZE
     prev = evaluate(QuadratureGrid(n))
-    while n <= cap // 2:
+    while n <= MAX_GRID_SIZE // 2:
         n *= 2
         cur = evaluate(QuadratureGrid(n))
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < GRID_STABILITY_TOL:
             return cur, n
         prev = cur
     raise NonConvergenceError(
-        f"quadrature did not stabilize to {tol:g} within {cap} nodes"
+        f"quadrature did not stabilize to {GRID_STABILITY_TOL:g} within {MAX_GRID_SIZE} nodes"
     )
 
 

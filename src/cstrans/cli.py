@@ -17,14 +17,16 @@ measure is an array of ``{"angle", "re", "im"}`` atoms, each self-map is a
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
 
-from .circle import CirclePoint, DiskPoint, MobiusMap, NonConvergenceError
+from .circle import CirclePoint, DiskPoint, NonConvergenceError
 from .disk_algebra import make_poly, poly_to_obj
 from .fixtures import standard_fixtures
 from .kernel_op import p_lambda_closed_form, p_phi_at_stable
@@ -130,10 +132,24 @@ def _case_complex(case: dict, key: str, idx: int) -> complex:
         raise FixtureError(f"cases[{idx}]: missing '{key}'")
     v = case[key]
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise FixtureError(f"cases[{idx}].{key}: expected a number or [re, im] pair")
+        z = complex(v)
+    elif isinstance(v, (list, tuple)) and len(v) == 2:
+        z = complex(float(v[0]), float(v[1]))
+    else:
+        raise FixtureError(f"cases[{idx}].{key}: expected a number or [re, im] pair")
+    if not cmath.isfinite(z):
+        raise FixtureError(f"cases[{idx}].{key}: expected finite numbers, got {v!r}")
+    return z
+
+
+def _case_real(case: dict, key: str, idx: int) -> float:
+    try:
+        v = float(case[key])
+    except (TypeError, ValueError) as exc:
+        raise FixtureError(f"cases[{idx}].{key}: expected a number ({exc})") from exc
+    if not math.isfinite(v):
+        raise FixtureError(f"cases[{idx}].{key}: expected a finite number, got {v!r}")
+    return v
 
 
 def _map_label(phi: DiskSelfMap) -> str:
@@ -185,13 +201,15 @@ def _run_kernel_compare(cfg: RunConfig, measures, maps, case: dict, i: int) -> d
         coeffs = [complex(float(p[0]), float(p[1])) for p in case["h"]]
     except (TypeError, IndexError, ValueError) as exc:
         raise FixtureError(f"cases[{i}].h: expected [re, im] pairs ({exc})") from exc
+    if not all(map(cmath.isfinite, coeffs)):
+        raise FixtureError(f"cases[{i}].h: expected finite numbers")
     h = make_poly(coeffs)
     if "zeta_angle" not in case or "r" not in case:
         raise FixtureError(f"cases[{i}]: needs 'zeta_angle' and 'r'")
-    zeta = CirclePoint(float(case["zeta_angle"]))
-    r = float(case["r"])
+    zeta = CirclePoint(_case_real(case, "zeta_angle", i))
+    r = _case_real(case, "r", i)
     t0 = time.perf_counter()
-    phi = MobiusSelfMap(MobiusMap(DiskPoint(a)))
+    phi = MobiusSelfMap(DiskPoint(a))
     closed = p_lambda_closed_form(a, h, zeta, r)
     quad = p_phi_at_stable(phi, h, zeta, r)
     diff = abs(closed - quad)

@@ -151,10 +151,10 @@ class DiskAlgebraPoly:
         return poly_eval(self.coeffs, z)
 
 
-def make_poly(coeffs, sample_count: int | None = None) -> DiskAlgebraPoly:
+def make_poly(coeffs) -> DiskAlgebraPoly:
     """Certify and wrap raw coefficients."""
     arr = _as_coeff_array(coeffs)
-    return DiskAlgebraPoly(tuple(arr), certified_sup(arr, sample_count))
+    return DiskAlgebraPoly(tuple(arr), certified_sup(arr))
 
 
 def monomial(m: int) -> DiskAlgebraPoly:

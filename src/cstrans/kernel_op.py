@@ -22,9 +22,12 @@ Three evaluation routes, cross-checked against each other in the tests:
 
 Maps built from Möbius pieces and polynomials are normalized to the form
 rot * lambda_c o core, which routes every such map to an exact evaluation.
-Radial limits of anything else (multi-zero Blaschke products and other
-boundary-contact maps) are chased by a radial sweep that reports
-non-convergence rather than extrapolating.
+Radial limits of anything else (multi-zero Blaschke products and maps
+composed over them) are chased by a radial sweep over the fixed radii
+r = 1 - 2^-k, k = 4..24, that stops once two successive quadrature values
+agree to 1e-9 and reports non-convergence rather than extrapolating.  It
+converges only where the value does not depend on r, as for h = 1, whose
+value is 1/(1 - zeta conj(phi(0))) at every r by the mean value property.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ from typing import Callable
 import numpy as np
 
 from .circle import (
-    DEFAULT_GRID_SIZE,
-    GRID_STABILITY_TOL,
-    MAX_GRID_SIZE,
     CirclePoint,
     DiskPoint,
     NonConvergenceError,
@@ -61,28 +61,11 @@ from .self_maps import (
 SERIES_TAIL_TOL = 1e-12
 SERIES_ORDER_CAP = 8192
 _RHO_LADDER = (0.9, 0.85, 0.8, 0.7, 0.6, 0.5, 0.35)
-
-
-@dataclass(frozen=True)
-class RadialScheme:
-    """Radii 1 - 2^-k for k = k_min..k_max, with a stabilization tolerance."""
-
-    k_min: int = 4
-    k_max: int = 24
-    convergence_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (0 < self.k_min <= self.k_max):
-            raise ValueError("need 0 < k_min <= k_max")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-
-    @property
-    def radii(self) -> list[float]:
-        return [1.0 - 2.0 ** (-k) for k in range(self.k_min, self.k_max + 1)]
-
-
-DEFAULT_SCHEME = RadialScheme()
+# The radial sweep's radii 1 - 2^-k, k = 4.._SWEEP_K_MAX, and the change
+# between successive radii at which it stops.
+_SWEEP_K_MAX = 24
+_SWEEP_RADII = tuple(1.0 - 2.0 ** (-k) for k in range(4, _SWEEP_K_MAX + 1))
+_SWEEP_TOL = 1e-9
 
 
 def _as_unimodular(zeta) -> complex:
@@ -126,19 +109,9 @@ def p_phi_at(
     return grid_integrate(grid, poly_eval(h, t) / denom)
 
 
-def p_phi_at_stable(
-    phi: DiskSelfMap,
-    h: DiskAlgebraPoly,
-    zeta,
-    r: float,
-    start: int = DEFAULT_GRID_SIZE,
-    tol: float = GRID_STABILITY_TOL,
-    cap: int = MAX_GRID_SIZE,
-) -> complex:
+def p_phi_at_stable(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, r: float) -> complex:
     """Quadrature with the grid-doubling policy; raises on non-convergence."""
-    value, _ = refine_until_stable(
-        partial(p_phi_at, phi, h, zeta, r), start=start, tol=tol, cap=cap
-    )
+    value, _ = refine_until_stable(partial(p_phi_at, phi, h, zeta, r))
     return value
 
 
@@ -165,7 +138,7 @@ def _combine_automorphisms(a: complex, rot_i: complex, c_i: complex) -> tuple[co
 
 def _normalize(phi: DiskSelfMap) -> _ChainForm | None:
     if isinstance(phi, MobiusSelfMap):
-        return _ChainForm(1.0 + 0.0j, phi.map.a.value, None)
+        return _ChainForm(1.0 + 0.0j, phi.a.value, None)
     if isinstance(phi, PolynomialMap):
         return _ChainForm(1.0 + 0.0j, None, phi.coeffs)
     if isinstance(phi, BlaschkeMap):
@@ -176,7 +149,7 @@ def _normalize(phi: DiskSelfMap) -> _ChainForm | None:
         inner = _normalize(phi.inner)
         if inner is None:
             return None
-        a = phi.outer.a.value
+        a = phi.outer_a.value
         if inner.core is not None and inner.c is None:
             # lambda_a o (rot * poly): fold the rotation into the polynomial.
             core = tuple(inner.rot * c for c in inner.core)
@@ -197,14 +170,15 @@ def limit_route(phi: DiskSelfMap) -> str:
 
 
 def _series_order(
-    core: np.ndarray, r: float, b_abs: np.ndarray, mob_abs: float, tol: float
+    core: np.ndarray, r: float, b_abs: np.ndarray, mob_abs: float
 ) -> tuple[int, float] | None:
     """Truncation order with a certified geometric tail bound.
 
     Picks rho < 1 with a certified s = sup_{|w| = rho} |core(r w)| < 1 and
-    returns the smallest k with (prefactor) * C(rho) * s^(k+1)/(1-s) < tol,
-    where C(rho) = sum_m |b_m| rho^-m dominates the Cauchy coefficient
-    weights.  Returns None when no ladder radius certifies convergence.
+    returns the smallest k with (prefactor) * C(rho) * s^(k+1)/(1-s) below
+    ``SERIES_TAIL_TOL``, where C(rho) = sum_m |b_m| rho^-m dominates the
+    Cauchy coefficient weights.  Returns None when no ladder radius
+    certifies convergence.
     """
     degs = np.arange(core.size)
     best: tuple[int, float] | None = None
@@ -216,7 +190,7 @@ def _series_order(
         big_c = float(np.sum(b_abs * rho ** (-np.arange(b_abs.size))))
         if s == 0.0:
             return 1, rho
-        k = math.ceil(math.log(tol * (1.0 - s) / (prefactor * big_c)) / math.log(s))
+        k = math.ceil(math.log(SERIES_TAIL_TOL * (1.0 - s) / (prefactor * big_c)) / math.log(s))
         k = max(k, 1)
         if k <= SERIES_ORDER_CAP and (best is None or k < best[0]):
             best = (k, rho)
@@ -236,12 +210,12 @@ def _power_moment_table(core_r: np.ndarray, m_cap: int, k_max: int) -> np.ndarra
     return table
 
 
-def _series_table(nf: _ChainForm, r: float, b_abs: np.ndarray, tail_tol: float) -> np.ndarray:
+def _series_table(nf: _ChainForm, r: float, b_abs: np.ndarray) -> np.ndarray:
     """Per map: conj of the rows k = 0..k_max+1 of core(r z)^k, truncated to
     ``b_abs.size`` coefficients, with k_max certified for weights ``b_abs``."""
     core = np.asarray(nf.core, dtype=complex)
     mob_abs = abs(nf.c) if nf.c is not None else 0.0
-    order = _series_order(core, r, b_abs, mob_abs, tail_tol)
+    order = _series_order(core, r, b_abs, mob_abs)
     if order is None:
         raise NonConvergenceError(
             "could not certify geometric decay for the moment series"
@@ -277,10 +251,7 @@ def _closed_form_values(nf: _ChainForm, count: int, zeta: complex) -> np.ndarray
     return vals
 
 
-def p_phi_exact_at(
-    phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, r: float = 1.0,
-    tail_tol: float = SERIES_TAIL_TOL,
-) -> complex:
+def p_phi_exact_at(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, r: float = 1.0) -> complex:
     """Exact kernel value at radius r (including r = 1) for normalizable maps.
 
     Raises ValueError for maps with no closed-form or series route.
@@ -295,26 +266,23 @@ def p_phi_exact_at(
         return p_lambda_closed_form(nf.c, h, zv * np.conjugate(nf.rot), r)
     b = np.asarray(h.coeffs, dtype=complex)
     # P_phi is linear in h; the truncation order is certified for h's own weights.
-    return complex(b @ _series_values(nf, _series_table(nf, r, np.abs(b), tail_tol), zv))
+    return complex(b @ _series_values(nf, _series_table(nf, r, np.abs(b)), zv))
 
 
-def _radial_sweep(phi, h, zeta, scheme: RadialScheme) -> complex:
+def _radial_sweep(phi, h, zeta) -> complex:
     prev = None
-    for r in scheme.radii:
+    for r in _SWEEP_RADII:
         value = p_phi_at_stable(phi, h, zeta, r)
-        if prev is not None and abs(value - prev) < scheme.convergence_tol:
+        if prev is not None and abs(value - prev) < _SWEEP_TOL:
             return value
         prev = value
     raise NonConvergenceError(
-        f"radial sweep did not stabilize to {scheme.convergence_tol:g} "
-        f"by r = 1 - 2^-{scheme.k_max}"
+        f"radial sweep did not stabilize to {_SWEEP_TOL:g} by r = 1 - 2^-{_SWEEP_K_MAX}"
         + (" (boundary-contact map: limit not guaranteed)" if phi.sup_bound >= 1.0 - 1e-12 else "")
     )
 
 
-def p_phi_radial_limit(
-    phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, scheme: RadialScheme | None = None
-) -> complex:
+def p_phi_radial_limit(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta) -> complex:
     """The r -> 1 limit of the kernel integral at a boundary point zeta.
 
     Maps in the Möbius orbit use the residue closed form at r = 1;
@@ -323,17 +291,12 @@ def p_phi_radial_limit(
     is chased by a radial sweep and reported honestly as non-convergent
     when stabilization fails.
     """
-    scheme = scheme or DEFAULT_SCHEME
-    nf = _normalize(phi)
-    if nf is not None:
+    if _normalize(phi) is not None:
         return p_phi_exact_at(phi, h, zeta, 1.0)
-    return _radial_sweep(phi, h, zeta, scheme)
+    return _radial_sweep(phi, h, zeta)
 
 
-def monomial_limit_evaluator(
-    phi: DiskSelfMap, count: int, scheme: RadialScheme | None = None,
-    tail_tol: float = SERIES_TAIL_TOL,
-) -> Callable[[complex], np.ndarray]:
+def monomial_limit_evaluator(phi: DiskSelfMap, count: int) -> Callable[[complex], np.ndarray]:
     """Radial-limit kernel values of the monomials 1, z, ..., z^(count-1),
     as a function of a unimodular zeta.
 
@@ -345,25 +308,19 @@ def monomial_limit_evaluator(
         raise ValueError("count must be >= 1")
     nf = _normalize(phi)
     if nf is None:
-        scheme = scheme or DEFAULT_SCHEME
 
         def swept(zv: complex) -> np.ndarray:
-            return np.array(
-                [p_phi_radial_limit(phi, monomial(m), zv, scheme) for m in range(count)]
-            )
+            return np.array([_radial_sweep(phi, monomial(m), zv) for m in range(count)])
 
         return swept
     if nf.core is None:
         return partial(_closed_form_values, nf, count)
     b_abs = np.zeros(count)
     b_abs[-1] = 1.0  # worst Cauchy weight among the monomials
-    return partial(_series_values, nf, _series_table(nf, 1.0, b_abs, tail_tol))
+    return partial(_series_values, nf, _series_table(nf, 1.0, b_abs))
 
 
-def monomial_radial_limits(
-    phi: DiskSelfMap, count: int, zeta, scheme: RadialScheme | None = None,
-    tail_tol: float = SERIES_TAIL_TOL,
-) -> np.ndarray:
+def monomial_radial_limits(phi: DiskSelfMap, count: int, zeta) -> np.ndarray:
     """Radial-limit kernel values for the monomials 1, z, ..., z^(count-1) at zeta."""
     zv = _as_unimodular(zeta)
-    return monomial_limit_evaluator(phi, count, scheme, tail_tol)(zv)
+    return monomial_limit_evaluator(phi, count)(zv)

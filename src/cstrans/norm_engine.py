@@ -34,16 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import DiskPoint, MobiusMap
+from .circle import DiskPoint
 from .disk_algebra import (
     SEARCH_DEGREE_CAP,
     DiskAlgebraPoly,
     certified_sup,
     default_sample_count,
-    poly_eval,
     poly_to_obj,
 )
-from .kernel_op import RadialScheme, limit_route, monomial_limit_evaluator
+from .kernel_op import limit_route, monomial_limit_evaluator
 from .measures import (
     AtomicMeasure,
     measure_to_obj,
@@ -74,14 +73,6 @@ SANDWICH_TOL = DEFAULT_TOLERANCES["sandwich"]
 
 class PreconditionError(ValueError):
     """A verifier was handed inputs that violate its stated precondition."""
-
-
-# ---------------------------------------------------------------------------
-# The dual pairing.
-
-def pairing(mu: AtomicMeasure, h: DiskAlgebraPoly) -> complex:
-    """<K_mu, h> = sum_j c_j conj(h(zeta_j)): the exact radial limit."""
-    return complex(np.sum(mu.weights * np.conjugate(poly_eval(h, mu.positions))))
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +348,13 @@ def bound_cima_matheson(a_mod: float) -> float:
 # ---------------------------------------------------------------------------
 # Composition lower bounds and the verifiers.
 
-def composition_moments(
-    mu: AtomicMeasure, phi: DiskSelfMap, count: int, scheme: RadialScheme | None = None
-) -> np.ndarray:
+def composition_moments(mu: AtomicMeasure, phi: DiskSelfMap, count: int) -> np.ndarray:
     """g_m = sum_j c_j conj((P_phi z^m)(zeta_j)): the composed dual moments.
 
     These are the pairing coefficients of f o phi against monomials, so
     |sum_m conj(b_m) g_m| = |<f o phi, h>| for h with coefficients b.
     """
-    limits = monomial_limit_evaluator(phi, count, scheme)
+    limits = monomial_limit_evaluator(phi, count)
     g = np.zeros(count, dtype=complex)
     for pos, w in mu.atoms:
         g += w * np.conjugate(limits(pos.value))
@@ -373,13 +362,10 @@ def composition_moments(
 
 
 def composition_knorm_lower(
-    mu: AtomicMeasure,
-    phi: DiskSelfMap,
-    degree_cap: int = 8,
-    scheme: RadialScheme | None = None,
+    mu: AtomicMeasure, phi: DiskSelfMap, degree_cap: int = 8
 ) -> tuple[float, DiskAlgebraPoly]:
     """Certified lower bound for the transform norm of (K_mu) o phi."""
-    g = composition_moments(mu, phi, degree_cap + 1, scheme)
+    g = composition_moments(mu, phi, degree_cap + 1)
     value, b = _dual_search(g, degree_cap)
     return value, _witness_poly(b)
 
@@ -421,7 +407,7 @@ def verify_lemma2(
     """Check the Möbius composition bound: lower(f o lambda_a) <= (1+2|a|)/(1-|a|) * tv."""
     t0 = time.perf_counter()
     a_pt = a if isinstance(a, DiskPoint) else DiskPoint(complex(a))
-    phi = MobiusSelfMap(MobiusMap(a_pt))
+    phi = MobiusSelfMap(a_pt)
     lower, witness = composition_knorm_lower(mu, phi, degree_cap)
     upper = tv_norm(mu)
     bound = bound_cima_matheson(abs(a_pt.value))
@@ -546,7 +532,7 @@ class ScanRow:
 
 def _scan_row(a: float, degree_cap: int) -> ScanRow:
     mu = point_mass(0.0)
-    phi = MobiusSelfMap(MobiusMap(DiskPoint(complex(a))))
+    phi = MobiusSelfMap(DiskPoint(complex(a)))
     lower, _ = composition_knorm_lower(mu, phi, degree_cap)
     # tv(mu) = 1, so the certified lower bound is the ratio itself.
     return ScanRow(a=a, ratio=lower, bound=bound_cima_matheson(a), measure=mu)

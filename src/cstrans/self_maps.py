@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import DiskPoint, MobiusMap, disk_grid, mobius_eval, mobius_lambda
+from .circle import DiskPoint, disk_grid, mobius_eval, mobius_lambda
 from .disk_algebra import certified_sup, horner
 
 # Construction accepts certificates this far above 1 (pure rounding slop).
@@ -97,20 +97,20 @@ class BlaschkeMap(DiskSelfMap):
 class MobiusSelfMap(DiskSelfMap):
     """The involution lambda_a viewed as a self-map."""
 
-    map: MobiusMap
+    a: DiskPoint
 
     kind = "mobius"
     sup_bound = 1.0
 
     def eval_inner(self, z):
-        return mobius_eval(self.map, z)
+        return mobius_eval(self.a, z)
 
 
 @dataclass(frozen=True)
 class ComposedMap(DiskSelfMap):
-    """outer Möbius applied after an inner self-map: z -> lambda_a(inner(z))."""
+    """z -> lambda_a(inner(z)), a = ``outer_a``: a Möbius map after an inner self-map."""
 
-    outer: MobiusMap
+    outer_a: DiskPoint
     inner: DiskSelfMap
     sup_bound: float = field(init=False)
 
@@ -118,12 +118,12 @@ class ComposedMap(DiskSelfMap):
 
     def __post_init__(self) -> None:
         # Möbius maps pull |w| <= s to at most (|a| + s)/(1 + |a| s).
-        a = abs(self.outer.a.value)
+        a = abs(self.outer_a.value)
         s = self.inner.sup_bound
         object.__setattr__(self, "sup_bound", (a + s) / (1.0 + a * s))
 
     def eval_inner(self, z):
-        return mobius_eval(self.outer, self.inner.eval_inner(z))
+        return mobius_eval(self.outer_a, self.inner.eval_inner(z))
 
 
 def schwarz_factorize(phi: DiskSelfMap) -> tuple[DiskPoint, ComposedMap]:
@@ -138,7 +138,7 @@ def schwarz_factorize(phi: DiskSelfMap) -> tuple[DiskPoint, ComposedMap]:
     if abs(a) >= 1.0 - 1e-15:
         raise ValueError(f"|phi(0)| = {abs(a):.17g} is too close to the circle")
     base = DiskPoint(a)
-    psi = ComposedMap(MobiusMap(base), phi)
+    psi = ComposedMap(base, phi)
     return base, psi
 
 
@@ -147,8 +147,7 @@ def factorization_residual(
 ) -> float:
     """max |phi(z) - lambda_a(psi(z))| over a disk grid (16 radii x 16 angles)."""
     pts = disk_grid() if points is None else points
-    lam = MobiusMap(a)
-    recon = mobius_eval(lam, self_map_eval(psi, pts))
+    recon = mobius_eval(a, self_map_eval(psi, pts))
     return float(np.max(np.abs(self_map_eval(phi, pts) - recon)))
 
 
@@ -180,11 +179,11 @@ def self_map_to_obj(phi: DiskSelfMap) -> dict:
             "rotation": _pair(phi.rotation),
         }
     if isinstance(phi, MobiusSelfMap):
-        return {"kind": "mobius", "a": _pair(phi.map.a.value)}
+        return {"kind": "mobius", "a": _pair(phi.a.value)}
     if isinstance(phi, ComposedMap):
         return {
             "kind": "composed",
-            "outer_a": _pair(phi.outer.a.value),
+            "outer_a": _pair(phi.outer_a.value),
             "inner": self_map_to_obj(phi.inner),
         }
     raise TypeError(f"unknown self-map type: {type(phi)!r}")
@@ -201,10 +200,10 @@ def self_map_from_obj(obj: dict, where: str = "self_map") -> DiskSelfMap:
             zeros = tuple(DiskPoint(_c(z)) for z in obj["zeros"])
             return BlaschkeMap(zeros, _c(obj.get("rotation", 1.0)))
         if kind == "mobius":
-            return MobiusSelfMap(MobiusMap(DiskPoint(_c(obj["a"]))))
+            return MobiusSelfMap(DiskPoint(_c(obj["a"])))
         if kind == "composed":
             inner = self_map_from_obj(obj["inner"], where=f"{where}.inner")
-            return ComposedMap(MobiusMap(DiskPoint(_c(obj["outer_a"]))), inner)
+            return ComposedMap(DiskPoint(_c(obj["outer_a"])), inner)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{where}: bad '{kind}' literal ({exc})") from exc
     raise ValueError(f"{where}: unknown kind {kind!r}")

@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 
 from cstrans.circle import TWO_PI
-from cstrans.disk_algebra import DiskAlgebraPoly, certified_sup, default_sample_count
+from cstrans.disk_algebra import DiskAlgebraPoly, certified_sup, default_sample_count, poly_eval
 from cstrans.measures import AtomicMeasure, atomic_measure
 
 hypothesis.settings.register_profile(
@@ -34,6 +34,11 @@ def sample_unit_ball(degree: int, seed: int) -> DiskAlgebraPoly:
     # itself a sound certificate; take the smaller of the two.
     cert = min(certified_sup(scaled, n), 1.0)
     return DiskAlgebraPoly(tuple(scaled), cert)
+
+
+def pairing(mu: AtomicMeasure, h: DiskAlgebraPoly) -> complex:
+    """<K_mu, h> = sum_j c_j conj(h(zeta_j)): the exact radial limit."""
+    return complex(np.sum(mu.weights * np.conjugate(poly_eval(h, mu.positions))))
 
 
 def cauchy_eval(mu: AtomicMeasure, z):

@@ -14,8 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bound_bourdon_cima, monomial_pushforward, sample_unit_ball
-from cstrans.circle import CirclePoint, DiskPoint, MobiusMap
+from conftest import bound_bourdon_cima, monomial_pushforward, pairing, sample_unit_ball
+from cstrans.circle import CirclePoint, DiskPoint
 from cstrans.disk_algebra import make_poly
 from cstrans.kernel_op import p_lambda_closed_form, p_phi_at_stable, p_phi_radial_limit
 from cstrans.measures import (
@@ -29,7 +29,6 @@ from cstrans.norm_engine import (
     composition_knorm_lower,
     knorm_bracket,
     knorm_lower,
-    pairing,
     sharpness_scan,
     verify_eq1,
 )
@@ -68,7 +67,7 @@ def test_criterion_1_residue_formula_oracle():
             zeta = CirclePoint(rng.uniform(0, 2 * np.pi))
             r = rng.uniform(0.05, 0.99)
             closed = p_lambda_closed_form(a, h, zeta, r)
-            quad = p_phi_at_stable(MobiusSelfMap(MobiusMap(DiskPoint(a))), h, zeta, r)
+            quad = p_phi_at_stable(MobiusSelfMap(DiskPoint(a)), h, zeta, r)
             assert abs(quad - closed) <= 1e-10 * max(1.0, abs(closed))
 
 
@@ -97,7 +96,7 @@ def test_criterion_3_mobius_composition_bound():
         bracket = knorm_bracket(mu)
         assert bracket.upper - bracket.lower <= 1e-6  # norm pinned to 1
         for a in (0.0, 0.25, 0.5, 0.75):
-            phi = MobiusSelfMap(MobiusMap(DiskPoint(a)))
+            phi = MobiusSelfMap(DiskPoint(a))
             lower, _ = composition_knorm_lower(mu, phi)
             ceiling = bound_cima_matheson(a)
             if a == 0.5:

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from cstrans.circle import (
     CirclePoint,
     DiskPoint,
-    MobiusMap,
     NonConvergenceError,
     QuadratureGrid,
     circle_angles,
@@ -25,11 +24,11 @@ def circle_point_from_complex(z: complex, tol: float = 1e-9) -> CirclePoint:
     return CirclePoint(cmath.phase(z))
 
 
-def mob(a: complex) -> MobiusMap:
-    return MobiusMap(DiskPoint(a))
+def mob(a: complex) -> DiskPoint:
+    return DiskPoint(a)
 
 
-def mobius_compose_self(m: MobiusMap, z):
+def mobius_compose_self(m: DiskPoint, z):
     """lambda_a(lambda_a(z)); equals z up to rounding since lambda_a is an involution."""
     return mobius_eval(m, mobius_eval(m, z))
 

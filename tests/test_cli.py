@@ -113,6 +113,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {anchor}: ") and "finite" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("zeta_angle", math.inf),
+            ("h", [[0.5, 0.0], [math.nan, 0.0]]),
+            ("r", math.nan),
+            ("a", [math.nan, 0.0]),
+        ],
+        ids=["zeta-angle-inf", "h-coeff-nan", "r-nan", "a-nan"],
+    )
+    def test_non_finite_kernel_compare_field_is_input_error(self, tmp_path, capsys, field, value):
+        case = {"a": [0.5, 0.0], "h": [[1.0, 0.0], [0.5, 0.0]], "zeta_angle": 1.0, "r": 0.9}
+        case[field] = value
+        code = run(RunConfig("kernel-compare", fixtures=write_fixture(tmp_path, {"cases": [case]})))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cases[0].{field}: ") and "finite" in err
+
     def test_failed_verification_is_exit_one(self, tmp_path):
         # an impossible tolerance turns a passing comparison into a failure
         out = tmp_path / "kc.json"

@@ -8,7 +8,6 @@ from conftest import sample_unit_ball
 from cstrans.circle import (
     CirclePoint,
     DiskPoint,
-    MobiusMap,
     NonConvergenceError,
     QuadratureGrid,
     circle_angles,
@@ -16,7 +15,6 @@ from cstrans.circle import (
 )
 from cstrans.disk_algebra import make_poly
 from cstrans.kernel_op import (
-    RadialScheme,
     limit_route,
     monomial_radial_limits,
     p_lambda_closed_form,
@@ -38,7 +36,7 @@ MINUS_ONE = CirclePoint(math.pi)
 
 
 def mobius(a) -> MobiusSelfMap:
-    return MobiusSelfMap(MobiusMap(DiskPoint(a)))
+    return MobiusSelfMap(DiskPoint(a))
 
 
 def random_poly(rng, max_degree=16):
@@ -197,16 +195,6 @@ class TestRadialLimit:
         assert limit_route(PolynomialMap((0.0, 0.0, 1.0))) == "series"
         assert limit_route(BlaschkeMap((DiskPoint(0.1), DiskPoint(0.2)), 1.0)) == "quadrature-sweep"
 
-    def test_scheme_validation(self):
-        with pytest.raises(ValueError):
-            RadialScheme(k_min=0)
-        with pytest.raises(ValueError):
-            RadialScheme(convergence_tol=0.0)
-        radii = RadialScheme().radii
-        assert radii[0] == pytest.approx(1 - 2.0**-4)
-        assert all(0 < r < 1 for r in radii)
-        assert all(b > a for a, b in zip(radii, radii[1:]))
-
 
 class TestMonomialLimits:
     def test_matches_per_monomial_calls(self):
@@ -217,6 +205,22 @@ class TestMonomialLimits:
             batch = monomial_radial_limits(phi, 6, zeta)
             singles = [p_phi_radial_limit(phi, monomial(m), zeta) for m in range(6)]
             assert np.max(np.abs(batch - np.array(singles))) <= 1e-12
+
+    def test_sweep_converges_for_the_constant_monomial(self):
+        # P_phi^r 1 (zeta) = 1/(1 - zeta conj(phi(0))) at every r, so the
+        # sweep stops after two radii, even for a two-zero Blaschke product.
+        b = BlaschkeMap((DiskPoint(0.3), DiskPoint(-0.4j)), 1.0)
+        for angle in (0.0, 0.7, 2.2):
+            zeta = CirclePoint(angle)
+            got = monomial_radial_limits(b, 1, zeta)
+            want = 1.0 / (1.0 - zeta.value * np.conjugate(b.at_zero()))
+            assert got.shape == (1,)
+            assert abs(got[0] - want) <= 1e-12
+
+    def test_sweep_reports_nonconvergence_for_z(self):
+        b = BlaschkeMap((DiskPoint(0.3), DiskPoint(-0.4j)), 1.0)
+        with pytest.raises(NonConvergenceError):
+            monomial_radial_limits(b, 2, CirclePoint(0.7))
 
 
 class TestTriangleBounds:
@@ -275,19 +279,19 @@ class SupNormScan:
     refined_angle: float
 
 
-def p_phi_sup_scan(phi, h, zeta_grid_size=256, scheme=None) -> SupNormScan:
+def p_phi_sup_scan(phi, h, zeta_grid_size=256) -> SupNormScan:
     if h.certified_sup > 1.0 + 1e-12:
         raise ValueError("h must be certified inside the unit ball")
     angles = circle_angles(zeta_grid_size)
     values = np.array(
-        [abs(p_phi_radial_limit(phi, h, CirclePoint(a), scheme)) for a in angles]
+        [abs(p_phi_radial_limit(phi, h, CirclePoint(a))) for a in angles]
     )
     best = int(np.argmax(values))  # first index wins ties
     grid_max = float(values[best])
     theta = float(angles[best])
 
     def mag2(t: float) -> float:
-        return abs(p_phi_radial_limit(phi, h, CirclePoint(t), scheme)) ** 2
+        return abs(p_phi_radial_limit(phi, h, CirclePoint(t))) ** 2
 
     delta = 1e-4
     g_minus, g_0, g_plus = mag2(theta - delta), grid_max**2, mag2(theta + delta)
@@ -304,9 +308,9 @@ def p_phi_sup_scan(phi, h, zeta_grid_size=256, scheme=None) -> SupNormScan:
     return SupNormScan(grid_max, theta, refined, refined_angle)
 
 
-def p_phi_sup_norm(phi, h, zeta_grid_size=256, scheme=None) -> float:
+def p_phi_sup_norm(phi, h, zeta_grid_size=256) -> float:
     """max |P_phi h| over a zeta grid: a sound lower estimate of the sup-norm."""
-    return p_phi_sup_scan(phi, h, zeta_grid_size, scheme).grid_max
+    return p_phi_sup_scan(phi, h, zeta_grid_size).grid_max
 
 
 class TestSupNorm:

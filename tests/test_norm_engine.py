@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bound_bourdon_cima, cauchy_eval, monomial_pushforward, sample_unit_ball
+from conftest import bound_bourdon_cima, cauchy_eval, monomial_pushforward, pairing, sample_unit_ball
 from cstrans import disk_algebra
-from cstrans.circle import CirclePoint, DiskPoint, MobiusMap, QuadratureGrid, refine_until_stable
+from cstrans.circle import CirclePoint, DiskPoint, QuadratureGrid, refine_until_stable
 from cstrans.disk_algebra import default_sample_count, make_poly, poly_eval
 from cstrans.kernel_op import monomial_radial_limits, p_phi_radial_limit
 from cstrans.measures import (
@@ -23,7 +23,6 @@ from cstrans.norm_engine import (
     composition_moments,
     knorm_bracket,
     knorm_lower,
-    pairing,
     sharpness_scan,
     verify_eq1,
     verify_lemma1,
@@ -239,7 +238,7 @@ class TestLowerBounds:
         )
         value, witness = knorm_lower(DIPOLE, 8)  # z wins, by |g_1| = tv = 2
         assert counts == [] and value == 2.0 and witness.degree == 1
-        value, witness = composition_knorm_lower(D1, MobiusSelfMap(MobiusMap(DiskPoint(0.5))), 8)
+        value, witness = composition_knorm_lower(D1, MobiusSelfMap(DiskPoint(0.5)), 8)
         assert counts == [2 * default_sample_count(8)]
         assert value > 3.4 and witness.certified_sup == 1.0
 
@@ -247,7 +246,7 @@ class TestLowerBounds:
         # An iteration-capped reweighting stops at 1.02297 on this scan row;
         # the ceiling (1 + 2a)/(1 - a) is 1.03229.
         a = 0.010649859654141596
-        g = composition_moments(D1, MobiusSelfMap(MobiusMap(DiskPoint(a))), 7)
+        g = composition_moments(D1, MobiusSelfMap(DiskPoint(a)), 7)
         value, _ = _dual_search(g, 6)
         assert value >= 1.0254
 
@@ -272,7 +271,7 @@ class TestLowerBounds:
         if a is None:
             g, ceiling = taylor_coeffs(mu, d + 1), tv_norm(mu)
         else:
-            g = composition_moments(mu, MobiusSelfMap(MobiusMap(DiskPoint(a))), d + 1)
+            g = composition_moments(mu, MobiusSelfMap(DiskPoint(a)), d + 1)
             ceiling = bound_cima_matheson(a) * tv_norm(mu)
         b = _barrier(g, d)
         n = 2 * default_sample_count(d)
@@ -282,7 +281,7 @@ class TestLowerBounds:
 
     def test_search_is_monotone_in_degree(self):
         # A higher cap only adds unknowns, so the solve must not lose value.
-        phi = MobiusSelfMap(MobiusMap(DiskPoint(0.5)))
+        phi = MobiusSelfMap(DiskPoint(0.5))
         low, _ = composition_knorm_lower(D1, phi, degree_cap=8)
         high, _ = composition_knorm_lower(D1, phi, degree_cap=16)
         assert high >= low * (1 - 1e-3)
@@ -407,13 +406,13 @@ class TestVerifiers:
             verify_lemma1(D1, PolynomialMap((0.1, 0.5)))
 
     def test_eq1_mobius_half(self):
-        rep = verify_eq1(D1, MobiusSelfMap(MobiusMap(DiskPoint(0.5))))
+        rep = verify_eq1(D1, MobiusSelfMap(DiskPoint(0.5)))
         assert rep.passed
         assert rep.bound == 4.0
 
     def test_eq1_mobius_reuses_the_mobius_step(self):
         # phi = lambda_a is its own Möbius step, so one search serves both
-        phi = MobiusSelfMap(MobiusMap(DiskPoint(0.25)))
+        phi = MobiusSelfMap(DiskPoint(0.25))
         rep = verify_eq1(DIPOLE, phi, degree_cap=6)
         lower, witness = composition_knorm_lower(DIPOLE, phi, degree_cap=6)
         assert rep.lower == rep.witnesses["mobius_step"]["lower"] == lower
@@ -458,7 +457,7 @@ class TestCompositionConsistency:
         mu = atomic_measure([(0.3, 1.0), (1.9, -0.5j), (4.0, 0.25 + 0.25j)])
         maps = (
             PolynomialMap((0.0, 0.0, 0.0, 1.0)),
-            ComposedMap(MobiusMap(DiskPoint(0.3 - 0.2j)), PolynomialMap((0.1, 0.5, 0.0, 0.3j))),
+            ComposedMap(DiskPoint(0.3 - 0.2j), PolynomialMap((0.1, 0.5, 0.0, 0.3j))),
         )
         for phi in maps:
             want = np.zeros(9, dtype=complex)
@@ -467,7 +466,7 @@ class TestCompositionConsistency:
             assert np.array_equal(composition_moments(mu, phi, 9), want)
 
     def test_composition_lower_bounded_by_ceiling(self):
-        phi = MobiusSelfMap(MobiusMap(DiskPoint(0.75)))
+        phi = MobiusSelfMap(DiskPoint(0.75))
         value, _ = composition_knorm_lower(D1, phi, degree_cap=6)
         assert value <= bound_cima_matheson(0.75) + 1e-8
 
@@ -490,7 +489,7 @@ class TestSharpnessScan:
     def test_no_measure_beats_the_point_mass_at_one(self, a, atoms, count):
         # The lemma behind the scan: on max_m |g_m| / tv a mixture cannot beat
         # its best atom, and the best atom sits at zeta = 1.
-        phi = MobiusSelfMap(MobiusMap(DiskPoint(complex(a))))
+        phi = MobiusSelfMap(DiskPoint(complex(a)))
         mu = atomic_measure([(t, r * complex(math.cos(p), math.sin(p))) for t, r, p in atoms])
         best = float(np.max(np.abs(composition_moments(D1, phi, count))))
         ratio = float(np.max(np.abs(composition_moments(mu, phi, count)))) / tv_norm(mu)
@@ -504,7 +503,7 @@ class TestSharpnessScan:
         for a, row in zip(a_values, rows):
             assert row.measure == point_mass(0.0)
             assert row.atom_count == 1
-            phi = MobiusSelfMap(MobiusMap(DiskPoint(complex(a))))
+            phi = MobiusSelfMap(DiskPoint(complex(a)))
             lower, _ = composition_knorm_lower(D1, phi, 4)
             assert row.ratio == lower
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cstrans.circle import DiskPoint, MobiusMap, circle_angles, disk_grid, mobius_eval
+from cstrans.circle import DiskPoint, circle_angles, disk_grid, mobius_eval
 from cstrans.self_maps import (
     BlaschkeMap,
     ComposedMap,
@@ -17,9 +17,9 @@ from cstrans.self_maps import (
 )
 
 FIXTURE_MAPS = [
-    MobiusSelfMap(MobiusMap(DiskPoint(0.0))),
-    MobiusSelfMap(MobiusMap(DiskPoint(0.5))),
-    MobiusSelfMap(MobiusMap(DiskPoint(0.3 - 0.4j))),
+    MobiusSelfMap(DiskPoint(0.0)),
+    MobiusSelfMap(DiskPoint(0.5)),
+    MobiusSelfMap(DiskPoint(0.3 - 0.4j)),
     PolynomialMap((0.0, 1.0)),
     PolynomialMap((0.0, 0.5)),
     PolynomialMap((0.25, 0.0, 0.5)),
@@ -32,7 +32,7 @@ FIXTURE_MAPS = [
 class TestEval:
     def test_examples(self):
         assert self_map_eval(PolynomialMap((0.0, 0.5)), 1.0) == pytest.approx(0.5)
-        assert self_map_eval(MobiusSelfMap(MobiusMap(DiskPoint(0.5))), 0.0) == pytest.approx(0.5)
+        assert self_map_eval(MobiusSelfMap(DiskPoint(0.5)), 0.0) == pytest.approx(0.5)
         b = BlaschkeMap((DiskPoint(0.3),), 1.0)
         assert self_map_eval(b, 0.3) == pytest.approx(0.0)
 
@@ -54,13 +54,13 @@ class TestEval:
 
     def test_composed_sup_bound_contracts(self):
         inner = PolynomialMap((0.0, 0.5))
-        composed = ComposedMap(MobiusMap(DiskPoint(0.25)), inner)
+        composed = ComposedMap(DiskPoint(0.25), inner)
         assert composed.sup_bound == pytest.approx((0.25 + 0.5) / (1 + 0.125))
 
 
 class TestFactorization:
     def test_mobius_factorizes_to_identity(self):
-        phi = MobiusSelfMap(MobiusMap(DiskPoint(0.5)))
+        phi = MobiusSelfMap(DiskPoint(0.5))
         base, psi = schwarz_factorize(phi)
         assert base.value == pytest.approx(0.5)
         pts = disk_grid()
@@ -94,9 +94,8 @@ class TestFactorization:
         # independent check: evaluate lambda_a(psi(z)) without the helper
         phi = PolynomialMap((0.25, 0.0, 0.5))
         base, psi = schwarz_factorize(phi)
-        lam = MobiusMap(base)
         for z in (0.0, 0.5j, -0.7, 0.3 + 0.6j):
-            assert abs(mobius_eval(lam, self_map_eval(psi, z)) - self_map_eval(phi, z)) <= 1e-13
+            assert abs(mobius_eval(base, self_map_eval(psi, z)) - self_map_eval(phi, z)) <= 1e-13
 
     def test_degenerate_base_point_rejected(self):
         phi = PolynomialMap((1.0 - 5e-16,))
