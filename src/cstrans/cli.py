@@ -165,7 +165,7 @@ def _run_verifier(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
     if cfg.command == "verify-lemma2":
         report = verify_lemma2(mu, _case_complex(case, "a", i), *common)
     elif cfg.command == "verify-lemma1":
-        report = verify_lemma1(mu, _case_self_map(case, maps, i), *common)
+        report = verify_lemma1(mu, _case_self_map(case, maps, i), *common, cfg.tol("base_point"))
     else:
         report = verify_eq1(
             mu, _case_self_map(case, maps, i), *common,

@@ -3,7 +3,8 @@
 Three evaluation routes, cross-checked against each other in the tests:
 
 * quadrature (``p_phi_at``): sample the integrand on an equispaced grid and
-  average, doubling the grid until stable.  Valid for any map at r < 1.
+  average, doubling the grid until stable.  Each doubling samples only the
+  new midpoints and averages the two rules.  Valid for any map at r < 1.
 * residue closed form (``p_lambda_closed_form``): for phi = lambda_a the
   integrand is rational in t with one pole at 0 and one at
   r (a - zeta)/(1 - zeta conj(a)) inside the circle, giving
@@ -25,9 +26,10 @@ rot * lambda_c o core, which routes every such map to an exact evaluation.
 Radial limits of anything else (multi-zero Blaschke products and maps
 composed over them) are chased by a radial sweep over the fixed radii
 r = 1 - 2^-k, k = 4..24, that stops once two successive quadrature values
-agree to 1e-9 and reports non-convergence rather than extrapolating.  It
-converges only where the value does not depend on r, as for h = 1, whose
-value is 1/(1 - zeta conj(phi(0))) at every r by the mean value property.
+agree to 1e-9 and reports non-convergence rather than extrapolating, naming
+the radius where a quadrature grid gave out if one did.  It converges only
+where the value does not depend on r, as for h = 1, whose value is
+1/(1 - zeta conj(phi(0))) at every r by the mean value property.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ _RHO_LADDER = (0.9, 0.85, 0.8, 0.7, 0.6, 0.5, 0.35)
 # The radial sweep's radii 1 - 2^-k, k = 4.._SWEEP_K_MAX, and the change
 # between successive radii at which it stops.
 _SWEEP_K_MAX = 24
-_SWEEP_RADII = tuple(1.0 - 2.0 ** (-k) for k in range(4, _SWEEP_K_MAX + 1))
+_SWEEP_RADII = {k: 1.0 - 2.0 ** (-k) for k in range(4, _SWEEP_K_MAX + 1)}
 _SWEEP_TOL = 1e-9
 
 
@@ -270,15 +272,20 @@ def p_phi_exact_at(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, r: float = 1.0) -
 
 
 def _radial_sweep(phi, h, zeta) -> complex:
+    contact = " (boundary-contact map: limit not guaranteed)" if phi.sup_bound >= 1.0 - 1e-12 else ""
     prev = None
-    for r in _SWEEP_RADII:
-        value = p_phi_at_stable(phi, h, zeta, r)
+    for k, r in _SWEEP_RADII.items():
+        try:
+            value = p_phi_at_stable(phi, h, zeta, r)
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(
+                f"radial sweep did not stabilize: its quadrature gave out at r = 1 - 2^-{k}{contact}"
+            ) from exc
         if prev is not None and abs(value - prev) < _SWEEP_TOL:
             return value
         prev = value
     raise NonConvergenceError(
-        f"radial sweep did not stabilize to {_SWEEP_TOL:g} by r = 1 - 2^-{_SWEEP_K_MAX}"
-        + (" (boundary-contact map: limit not guaranteed)" if phi.sup_bound >= 1.0 - 1e-12 else "")
+        f"radial sweep did not stabilize to {_SWEEP_TOL:g} by r = 1 - 2^-{_SWEEP_K_MAX}{contact}"
     )
 
 

@@ -429,11 +429,15 @@ def verify_lemma1(
     psi: DiskSelfMap,
     degree_cap: int = 8,
     tol: float = PASS_MARGIN,
+    base_point_tol: float = DEFAULT_TOLERANCES["base_point"],
 ) -> VerificationReport:
-    """Check the base-point-fixing contraction: lower(f o psi) <= tv."""
+    """Check the base-point-fixing contraction: lower(f o psi) <= tv.
+
+    Requires |psi(0)| <= ``base_point_tol``.
+    """
     t0 = time.perf_counter()
     psi0 = abs(psi.at_zero())
-    if psi0 > 1e-12:
+    if psi0 > base_point_tol:
         raise PreconditionError(f"precondition psi(0)=0 violated: |psi(0)| = {psi0:.3g}")
     lower, witness = composition_knorm_lower(mu, psi, degree_cap)
     upper = tv_norm(mu)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cstrans.circle import (
+    MAX_GRID_SIZE,
     CirclePoint,
     DiskPoint,
     NonConvergenceError,
@@ -140,21 +141,49 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             grid_integrate(QuadratureGrid(4), np.ones(5))
 
-    def test_refine_until_stable(self):
-        def kernel_mean(grid):
-            return grid_integrate(grid, 1.0 / (1.0 - 0.9 * np.conjugate(grid.nodes)))
+    @pytest.mark.parametrize("n", [512 << j for j in range(7)])
+    def test_midpoint_nodes_are_the_odd_nodes_of_the_doubled_grid(self, n):
+        mid = QuadratureGrid(n, midpoints=True)
+        assert mid.node_count == n
+        odd = np.ascontiguousarray(QuadratureGrid(2 * n).nodes[1::2])
+        assert mid.nodes.tobytes() == odd.tobytes()
 
-        value, used = refine_until_stable(kernel_mean)
-        assert abs(value - 1.0) <= 1e-12
-        assert used <= 1 << 16
+    def test_refine_until_stable(self):
+        # Each doubling evaluates only the new midpoints: N nodes in all.
+        for pole, want in ((0.9, 1024), (0.99, 8192), (0.999, 1 << 16)):
+            seen = []
+
+            def kernel_mean(grid):
+                seen.append(grid.node_count)
+                return grid_integrate(grid, 1.0 / (1.0 - pole * np.conjugate(grid.nodes)))
+
+            value, used = refine_until_stable(kernel_mean)
+            assert abs(value - 1.0) <= 1e-12
+            assert used == want and sum(seen) == used
 
     def test_refine_reports_nonconvergence(self):
         # pole essentially on the circle: no budgeted grid can resolve it
+        seen = []
+
         def stiff(grid):
+            seen.append(grid.node_count)
             return grid_integrate(grid, 1.0 / (1.0 - (1 - 1e-9) * np.conjugate(grid.nodes)))
 
         with pytest.raises(NonConvergenceError):
             refine_until_stable(stiff)
+        assert sum(seen) == MAX_GRID_SIZE
+
+    def test_refinement_grids_are_built_once_and_read_only(self):
+        grids = []
+        for _ in range(2):
+            refine_until_stable(lambda g: grids.append(g) or 1.0)
+        assert len(grids) == 4
+        assert grids[2].nodes is grids[0].nodes and grids[3].nodes is grids[1].nodes
+        for grid in grids:
+            with pytest.raises(ValueError):
+                grid.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            QuadratureGrid(8).nodes[0] = 0.0
 
     def test_circle_angles(self):
         assert np.allclose(circle_angles(4), [0, math.pi / 2, math.pi, 3 * math.pi / 2])

@@ -50,6 +50,19 @@ class TestExitCodes:
         assert code == 2
         assert "psi(0)=0" in capsys.readouterr().err
 
+    def test_lemma1_base_point_follows_the_tolerance_table(self, tmp_path, capsys):
+        # |psi(0)| = 5e-13 exceeds the table's base_point of 1e-14
+        doc = {
+            "measures": [[{"angle": 0.0, "re": 1.0, "im": 0.0}]],
+            "self_maps": [{"kind": "polynomial", "coeffs": [[5e-13, 0.0], [0.5, 0.0]]}],
+            "cases": [{"measure": 0, "self_map": 0}],
+        }
+        args = ["verify-lemma1", "--fixtures", write_fixture(tmp_path, doc),
+                "--out", str(tmp_path / "l1.json"), "--degree-cap", "2"]
+        assert main(args) == 2
+        assert "cases[0]: precondition psi(0)=0 violated" in capsys.readouterr().err
+        assert main(args + ["--tol", "base_point=1e-12"]) == 0
+
     def test_malformed_json_is_input_error_with_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"measures": [\n  [{"angle": 0.0,]\n]}')

@@ -12,6 +12,7 @@ from cstrans.circle import (
     QuadratureGrid,
     circle_angles,
     grid_integrate,
+    refine_until_stable,
 )
 from cstrans.disk_algebra import make_poly
 from cstrans.kernel_op import (
@@ -25,6 +26,7 @@ from cstrans.kernel_op import (
 )
 from cstrans.self_maps import (
     BlaschkeMap,
+    ComposedMap,
     MobiusSelfMap,
     PolynomialMap,
     schwarz_factorize,
@@ -115,6 +117,24 @@ class TestQuadrature:
     def test_requires_r_inside(self):
         with pytest.raises(ValueError):
             p_phi_at(mobius(0.1), make_poly([1.0]), ONE, 1.0, QuadratureGrid(64))
+
+    def test_nested_refinement_matches_the_single_grid_rule(self):
+        # The averaged midpoint rules equal one trapezoid rule on the final grid.
+        rng = np.random.default_rng(23)
+        sizes = set()
+        for i in range(45):
+            a = DiskPoint(rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            core = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+            poly = PolynomialMap(tuple(0.95 * core / np.sum(np.abs(core))))
+            phi = (MobiusSelfMap(a), poly, ComposedMap(a, poly))[i % 3]
+            h = random_poly(rng, 8)
+            zeta = CirclePoint(rng.uniform(0, 2 * np.pi))
+            r = (rng.uniform(0.05, 0.9), 0.99, 0.999)[i // 3 % 3]
+            got, n = refine_until_stable(lambda g: p_phi_at(phi, h, zeta, r, g))
+            want = p_phi_at(phi, h, zeta, r, QuadratureGrid(n))
+            assert abs(got - want) <= 1e-14 * abs(want)
+            sizes.add(n)
+        assert max(sizes) == 1 << 16 and min(sizes) <= 1024
 
 
 class TestSeriesRoute:
@@ -218,8 +238,13 @@ class TestMonomialLimits:
             assert abs(got[0] - want) <= 1e-12
 
     def test_sweep_reports_nonconvergence_for_z(self):
+        # The sweep's own error names the radius where its quadrature gave out.
         b = BlaschkeMap((DiskPoint(0.3), DiskPoint(-0.4j)), 1.0)
-        with pytest.raises(NonConvergenceError):
+        message = (
+            r"^radial sweep did not stabilize: its quadrature gave out at r = 1 - 2\^-\d+"
+            r" \(boundary-contact map: limit not guaranteed\)$"
+        )
+        with pytest.raises(NonConvergenceError, match=message):
             monomial_radial_limits(b, 2, CirclePoint(0.7))
 
 

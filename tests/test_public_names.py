@@ -6,10 +6,11 @@ referenced in ``src/``, ``scripts/`` or ``perfbench/`` (the benchmark's own
 tests excluded) somewhere other than ``__init__.py`` and the body of its
 own definition.  A reference is a loaded name, an attribute, or a string
 constant equal to the name: the benchmark's tracer looks functions up by
-name.
+name.  Each of those tracer targets must exist in turn.
 """
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -57,3 +58,23 @@ def test_every_public_name_is_used_outside_the_tests():
     public = [n for n in cstrans.__all__ if not isinstance(getattr(cstrans, n), types.ModuleType)]
     assert public
     assert [n for n in public if n not in refs.names] == []
+
+
+def test_every_tracer_target_exists():
+    # The benchmark's tracer wraps functions it names as strings; a target
+    # renamed or deleted in ``src/`` would silently go untraced.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    [targets] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        )
+    ]
+    assert targets
+    missing = [
+        f"{module}.{name}"
+        for module, name, _ in targets
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
