@@ -19,7 +19,8 @@ Three evaluation routes, cross-checked against each other in the tests:
   estimates on a circle of radius rho < 1 give |T_k| <= C(rho) s(rho)^k
   with a certifiable s(rho) < 1, so the truncation error is rigorously
   bounded and the series remains valid at r = 1 even for maps whose
-  boundary modulus reaches 1 (e.g. z^2).
+  boundary modulus reaches 1 (e.g. z^2).  One stacked certificate bounds
+  s(rho) for every radius of the ladder at once.
 
 Maps built from Möbius pieces and polynomials are normalized to the form
 rot * lambda_c o core, which routes every such map to an exact evaluation.
@@ -30,14 +31,19 @@ agree to 1e-9 and reports non-convergence rather than extrapolating, naming
 the radius where a quadrature grid gave out if one did.  It converges only
 where the value does not depend on r, as for h = 1, whose value is
 1/(1 - zeta conj(phi(0))) at every r by the mean value property.
+
+``monomial_limit_evaluator`` gives the radial limits of the monomials at
+many boundary points: one row per point, the closed form's powers from one
+cumprod and the series' sums from one ``einsum``.  No route calls a
+threaded BLAS product, so a run uses one CPU whatever OpenBLAS's thread
+count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -121,8 +127,7 @@ def p_phi_at_stable(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, r: float) -> com
 # Normal form rot * lambda_c o core for maps built from Möbius pieces and
 # polynomials.  core=None means the identity; c=None means no Möbius layer.
 
-@dataclass(frozen=True)
-class _ChainForm:
+class _ChainForm(NamedTuple):
     rot: complex
     c: complex | None
     core: tuple[complex, ...] | None
@@ -185,8 +190,9 @@ def _series_order(
     degs = np.arange(core.size)
     best: tuple[int, float] | None = None
     prefactor = (1.0 + mob_abs) / (1.0 - mob_abs) if mob_abs > 0 else 1.0
-    for rho in _RHO_LADDER:
-        s = certified_sup(core * (r * rho) ** degs)
+    # One stacked certificate for the whole ladder: row i holds core(r rho_i w).
+    sups = certified_sup(core * (r * np.array(_RHO_LADDER)[:, None]) ** degs)
+    for rho, s in zip(_RHO_LADDER, sups.tolist()):
         if s >= 0.999:
             continue
         big_c = float(np.sum(b_abs * rho ** (-np.arange(b_abs.size))))
@@ -228,28 +234,56 @@ def _series_table(nf: _ChainForm, r: float, b_abs: np.ndarray) -> np.ndarray:
     return np.conjugate(_power_moment_table(core_r, b_abs.size - 1, k_max + 1))
 
 
-def _series_values(nf: _ChainForm, conj_table: np.ndarray, zeta: complex) -> np.ndarray:
-    """Per zeta: the kernel values of the monomials, from a ``_series_table``."""
+def _powers(w: np.ndarray, count: int) -> np.ndarray:
+    """Rows 1, w_i, ..., w_i^(count-1), one per entry of ``w``, from one cumprod."""
+    out = w[:, None].repeat(count, 1)
+    out[:, 0] = 1.0
+    rest = out[:, 1:]
+    np.multiply.accumulate(rest, 1, None, rest)  # cumprod along each row, in place
+    return out
+
+
+def _series_values(nf: _ChainForm, conj_table: np.ndarray, zetas: np.ndarray) -> np.ndarray:
+    """The kernel values of the monomials from a ``_series_table``, one row
+    per boundary point.  ``einsum`` forms the sums over k itself, not
+    through a BLAS product, so no BLAS thread wakes for them."""
     k_max = conj_table.shape[0] - 2
-    zeta_eff = zeta * np.conjugate(nf.rot)
+    zeta_eff = zetas * np.conjugate(nf.rot)
     if nf.c is None:
-        ratios = np.concatenate(([1.0], np.cumprod(np.full(k_max, zeta_eff))))
-        return ratios @ conj_table[: k_max + 1]
+        return np.einsum("pk,km->pm", _powers(zeta_eff, k_max + 1), conj_table[: k_max + 1])
     c = nf.c
-    ratios = np.concatenate(([1.0], np.cumprod(np.full(k_max, mobius_lambda(c, zeta_eff)))))
     terms = conj_table[: k_max + 1] - c * conj_table[1 : k_max + 2]
-    return (ratios @ terms) / (1.0 - zeta_eff * np.conjugate(c))
+    sums = np.einsum("pk,km->pm", _powers(mobius_lambda(c, zeta_eff), k_max + 1), terms)
+    return sums / (1.0 - zeta_eff * np.conjugate(c))[:, None]
 
 
-def _closed_form_values(nf: _ChainForm, count: int, zeta: complex) -> np.ndarray:
-    """The residue closed form at r = 1 for the monomials 1, z, ..., z^(count-1)."""
-    zeta_eff = zeta * np.conjugate(nf.rot)
-    c = nf.c
-    w = mobius_lambda(c, zeta_eff)
-    base = (1.0 - abs(c) ** 2) / abs(1.0 - zeta_eff * np.conjugate(c)) ** 2
-    vals = base * np.concatenate(([1.0], np.cumprod(np.full(count - 1, w))))
-    vals = vals.astype(complex)
-    vals[0] += -c / (zeta_eff - c)
+def _closed_form_values(nf: _ChainForm, count: int, zetas: np.ndarray) -> np.ndarray:
+    """The residue closed form at r = 1 for the monomials 1, z, ..., z^(count-1),
+    one row per boundary point.
+
+    Row m is base w^m, plus -c/(zeta - c) at m = 0, with w = lambda_c(zeta)
+    and base = (1 - |c|^2)/|1 - zeta conj(c)|^2, zeta taken off the
+    rotation.  The scalars go point by point, which at the atom counts of
+    a measure costs less than array operations; the powers of all points
+    come from one cumprod.
+    """
+    c, rot_c = nf.c, nf.rot.conjugate()
+    # Python rounds complex products as numpy does but divides with other
+    # rounding, so the divisions stay numpy's (through c_np here and inside
+    # mobius_lambda), like every other division in this module.
+    c_np = np.complex128(c)
+    scale = 1.0 - abs(c) ** 2
+    scalars = []
+    for zeta in zetas.tolist():
+        zeta_eff = zeta * rot_c
+        base = scale / abs(1.0 - zeta_eff * c.conjugate()) ** 2
+        scalars.append((base - c / (zeta_eff - c_np), base, mobius_lambda(c, zeta_eff)))
+    scalars = np.array(scalars, dtype=complex)
+    # Each row: [base - c/(zeta - c), w, w, ..., w].
+    vals = scalars.repeat([1, 0, count - 1], 1)
+    powers = vals[:, 1:]
+    np.multiply.accumulate(powers, 1, None, powers)  # cumprod along each row, in place
+    powers *= scalars[:, 1:2]
     return vals
 
 
@@ -268,7 +302,7 @@ def p_phi_exact_at(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, r: float = 1.0) -
         return p_lambda_closed_form(nf.c, h, zv * np.conjugate(nf.rot), r)
     b = np.asarray(h.coeffs, dtype=complex)
     # P_phi is linear in h; the truncation order is certified for h's own weights.
-    return complex(b @ _series_values(nf, _series_table(nf, r, np.abs(b)), zv))
+    return complex(b @ _series_values(nf, _series_table(nf, r, np.abs(b)), np.array([zv]))[0])
 
 
 def _radial_sweep(phi, h, zeta) -> complex:
@@ -303,21 +337,24 @@ def p_phi_radial_limit(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta) -> complex:
     return _radial_sweep(phi, h, zeta)
 
 
-def monomial_limit_evaluator(phi: DiskSelfMap, count: int) -> Callable[[complex], np.ndarray]:
+def monomial_limit_evaluator(phi: DiskSelfMap, count: int) -> Callable[[np.ndarray], np.ndarray]:
     """Radial-limit kernel values of the monomials 1, z, ..., z^(count-1),
-    as a function of a unimodular zeta.
+    as a function of an array of unimodular points that returns one row
+    per point.
 
     What depends on the map alone (the normal form, the series order and
     the coefficient table) is computed once, here, so many boundary points
-    share it.
+    share it.  The closed-form and series routes evaluate all points in
+    one pass; the sweep goes point by point.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     nf = _normalize(phi)
     if nf is None:
 
-        def swept(zv: complex) -> np.ndarray:
-            return np.array([_radial_sweep(phi, monomial(m), zv) for m in range(count)])
+        def swept(zetas: np.ndarray) -> np.ndarray:
+            return np.array([[_radial_sweep(phi, monomial(m), zv) for m in range(count)]
+                             for zv in zetas.tolist()])
 
         return swept
     if nf.core is None:
@@ -330,4 +367,4 @@ def monomial_limit_evaluator(phi: DiskSelfMap, count: int) -> Callable[[complex]
 def monomial_radial_limits(phi: DiskSelfMap, count: int, zeta) -> np.ndarray:
     """Radial-limit kernel values for the monomials 1, z, ..., z^(count-1) at zeta."""
     zv = _as_unimodular(zeta)
-    return monomial_limit_evaluator(phi, count)(zv)
+    return monomial_limit_evaluator(phi, count)(np.array([zv]))[0]

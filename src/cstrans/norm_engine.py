@@ -353,11 +353,14 @@ def composition_moments(mu: AtomicMeasure, phi: DiskSelfMap, count: int) -> np.n
 
     These are the pairing coefficients of f o phi against monomials, so
     |sum_m conj(b_m) g_m| = |<f o phi, h>| for h with coefficients b.
+    One evaluator call gives the rows of all atoms; the weighted rows are
+    then added in atom order.
     """
     limits = monomial_limit_evaluator(phi, count)
+    rows = np.conjugate(limits(np.array([pos.value for pos, _ in mu.atoms])))
     g = np.zeros(count, dtype=complex)
-    for pos, w in mu.atoms:
-        g += w * np.conjugate(limits(pos.value))
+    for (_, w), row in zip(mu.atoms, rows):  # in atom order
+        g += w * row
     return g
 
 

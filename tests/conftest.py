@@ -3,8 +3,8 @@ import math
 import hypothesis
 import numpy as np
 
-from cstrans.circle import TWO_PI
-from cstrans.disk_algebra import DiskAlgebraPoly, certified_sup, default_sample_count, poly_eval
+from cstrans.circle import TWO_PI, circle_angles
+from cstrans.disk_algebra import DiskAlgebraPoly, certified_sup, default_sample_count, horner, poly_eval
 from cstrans.measures import AtomicMeasure, atomic_measure
 
 hypothesis.settings.register_profile(
@@ -34,6 +34,22 @@ def sample_unit_ball(degree: int, seed: int) -> DiskAlgebraPoly:
     # itself a sound certificate; take the smaller of the two.
     cert = min(certified_sup(scaled, n), 1.0)
     return DiskAlgebraPoly(tuple(scaled), cert)
+
+
+def sampled_bound_oracle(row, sample_count: int) -> float:
+    """The sampled peak of one coefficient row divided by
+    sqrt(1 - (d pi/N)^2 / 2), with d read off its last nonzero coefficient."""
+    nonzero = np.flatnonzero(row)
+    d = int(nonzero[-1]) if nonzero.size else 0
+    peak = float(np.max(np.abs(horner(row, np.exp(1j * circle_angles(sample_count))))))
+    return peak / math.sqrt(1.0 - 0.5 * (d * math.pi / sample_count) ** 2)
+
+
+def certified_sup_oracle(row) -> float:
+    """The smaller of the sampled bound at max(256, 64 d) samples and sum |c_k|."""
+    nonzero = np.flatnonzero(row)
+    d = int(nonzero[-1]) if nonzero.size else 0
+    return min(sampled_bound_oracle(row, max(256, 64 * d)), float(np.sum(np.abs(row))))
 
 
 def pairing(mu: AtomicMeasure, h: DiskAlgebraPoly) -> complex:

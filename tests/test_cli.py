@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cstrans.cli import RunConfig, main, run
+from cstrans.cli import COMMANDS, RunConfig, main, run
 
 RUNTIME = re.compile(r'"runtime_ms": [0-9.eE+-]+')
 
@@ -261,12 +261,11 @@ class TestEntryPoint:
         assert run(RunConfig("factorize")) == 0
         assert '"command": "factorize"' in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "command", ["verify-bound", "norm-estimate", "verify-lemma2", "sharpness-scan"]
-    )
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_reports_do_not_depend_on_blas_threads(self, command):
-        # The dual search's products are FFTs, not BLAS calls whose
-        # summation order follows the thread count.
+        # No report value may come from a BLAS call whose summation order
+        # follows the thread count: the dual search's products are FFTs and
+        # the kernel layer sums its series and moments without BLAS.
         outputs = []
         for threads in (None, "1"):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

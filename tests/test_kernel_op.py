@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import sample_unit_ball
+from conftest import certified_sup_oracle, sample_unit_ball
 from cstrans.circle import (
     CirclePoint,
     DiskPoint,
@@ -14,9 +14,13 @@ from cstrans.circle import (
     grid_integrate,
     refine_until_stable,
 )
-from cstrans.disk_algebra import make_poly
+from cstrans import kernel_op
+from cstrans.disk_algebra import certified_sup, make_poly
 from cstrans.kernel_op import (
+    SERIES_ORDER_CAP,
+    SERIES_TAIL_TOL,
     limit_route,
+    monomial_limit_evaluator,
     monomial_radial_limits,
     p_lambda_closed_form,
     p_phi_at,
@@ -246,6 +250,97 @@ class TestMonomialLimits:
         )
         with pytest.raises(NonConvergenceError, match=message):
             monomial_radial_limits(b, 2, CirclePoint(0.7))
+
+
+def order_one_radius_at_a_time(sups, b_abs, mob_abs):
+    """The series order from ladder sup bounds certified one radius at a time."""
+    best = None
+    prefactor = (1.0 + mob_abs) / (1.0 - mob_abs) if mob_abs > 0 else 1.0
+    for rho, s in zip(kernel_op._RHO_LADDER, sups):
+        if s >= 0.999:
+            continue
+        big_c = float(np.sum(b_abs * rho ** (-np.arange(b_abs.size))))
+        if s == 0.0:
+            return 1, rho
+        k = math.ceil(math.log(SERIES_TAIL_TOL * (1.0 - s) / (prefactor * big_c)) / math.log(s))
+        k = max(k, 1)
+        if k <= SERIES_ORDER_CAP and (best is None or k < best[0]):
+            best = (k, rho)
+    return best
+
+
+class TestBatchedLadder:
+    def test_one_stacked_certificate_matches_the_per_radius_loop(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        cores = []
+        for i in range(500):
+            d = i % 6
+            core = rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1)
+            core *= rng.uniform(0.3, 1.3) / np.sum(np.abs(core))
+            if i % 4 == 0:  # trailing zeros: the width is not the degree
+                core = np.concatenate([core, np.zeros(1 + i % 3)])
+            cores.append(core)
+        cores.append(np.zeros(4, dtype=complex))
+        stacked = []
+
+        def recording(coeffs, *args):
+            out = certified_sup(coeffs, *args)
+            stacked.append((np.array(coeffs), out))
+            return out
+
+        monkeypatch.setattr(kernel_op, "certified_sup", recording)
+        orders = set()
+        for i, core in enumerate(cores):
+            degs = np.arange(core.size)
+            b_abs = np.ones(9) if i % 2 else np.eye(33)[-1]
+            mob_abs = 0.3 if i % 3 == 0 else 0.0
+            for r in (1.0, 0.999, 0.9, 0.5):
+                singles = [certified_sup(core * (r * rho) ** degs) for rho in kernel_op._RHO_LADDER]
+                stacked.clear()
+                got = kernel_op._series_order(core, r, b_abs, mob_abs)
+                assert len(stacked) == 1
+                rows, bounds = stacked[0]
+                assert rows.shape == (len(kernel_op._RHO_LADDER), core.size)
+                assert bounds.tolist() == singles
+                assert singles == [certified_sup_oracle(row) for row in rows]
+                assert got == order_one_radius_at_a_time(singles, b_abs, mob_abs)
+                orders.add(got is None)
+        assert orders == {True, False}  # both certified and uncertified cores
+        # A ladder's rows share one degree; a stack of all the cores mixes them.
+        width = max(core.size for core in cores)
+        mixed = np.array([np.pad(core, (0, width - core.size)) for core in cores])
+        assert certified_sup(mixed).tolist() == [certified_sup_oracle(row) for row in mixed]
+
+
+class TestBatchedEvaluator:
+    MAPS = {
+        "mobius": MobiusSelfMap(DiskPoint(0.3 + 0.4j)),
+        "one-zero blaschke": BlaschkeMap((DiskPoint(0.2 - 0.5j),), complex(math.cos(0.7), math.sin(0.7))),
+        "z^2": PolynomialMap((0.0, 0.0, 1.0)),
+        "z^3": PolynomialMap((0.0, 0.0, 0.0, 1.0)),
+        "polynomial": PolynomialMap((0.1, 0.5 + 0.1j, 0.2)),
+        "composed": ComposedMap(DiskPoint(0.3 + 0.2j), PolynomialMap((0.1, 0.5, 0.2))),
+    }
+
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_rows_equal_single_point_calls(self, name):
+        phi = self.MAPS[name]
+        rng = np.random.default_rng(7)
+        angles = rng.uniform(0.0, 2 * math.pi, 64)
+        zetas = np.array([CirclePoint(a).value for a in angles])
+        for count in (1, 9, 33, 65):
+            limits = monomial_limit_evaluator(phi, count)
+            rows = limits(zetas)
+            assert rows.shape == (64, count)
+            for i in range(64):
+                assert np.array_equal(limits(zetas[i : i + 1]), rows[i : i + 1])
+            assert np.array_equal(monomial_radial_limits(phi, count, CirclePoint(angles[5])), rows[5])
+
+    def test_two_zero_blaschke_still_raises_naming_the_radius(self):
+        b = BlaschkeMap((DiskPoint(0.3), DiskPoint(-0.4j)), 1.0)
+        limits = monomial_limit_evaluator(b, 2)
+        with pytest.raises(NonConvergenceError, match=r"quadrature gave out at r = 1 - 2\^-11 "):
+            limits(np.array([CirclePoint(0.7).value]))
 
 
 class TestTriangleBounds:

@@ -8,7 +8,7 @@ from conftest import bound_bourdon_cima, cauchy_eval, monomial_pushforward, pair
 from cstrans import disk_algebra
 from cstrans.circle import CirclePoint, DiskPoint, QuadratureGrid, refine_until_stable
 from cstrans.disk_algebra import default_sample_count, make_poly, poly_eval
-from cstrans.kernel_op import monomial_radial_limits, p_phi_radial_limit
+from cstrans.kernel_op import monomial_limit_evaluator, monomial_radial_limits, p_phi_radial_limit
 from cstrans.measures import (
     atomic_measure,
     point_mass,
@@ -33,7 +33,7 @@ from cstrans.norm_engine import (
     _tight_value,
     _witness_poly,
 )
-from cstrans.self_maps import ComposedMap, MobiusSelfMap, PolynomialMap, schwarz_factorize
+from cstrans.self_maps import BlaschkeMap, ComposedMap, MobiusSelfMap, PolynomialMap, schwarz_factorize
 
 D1 = point_mass(0.0)
 DIPOLE = atomic_measure([(0.0, 1.0), (math.pi, -1.0)])
@@ -464,6 +464,31 @@ class TestCompositionConsistency:
             for pos, w in mu.atoms:
                 want += w * np.conjugate(monomial_radial_limits(phi, 9, pos))
             assert np.array_equal(composition_moments(mu, phi, 9), want)
+
+    @pytest.mark.parametrize("atoms", [1, 3, 64])
+    def test_one_batched_call_equals_the_weighted_single_point_sum(self, atoms):
+        rng = np.random.default_rng(atoms)
+        angles = rng.permutation(64)[:atoms] * (2 * math.pi / 64) + rng.uniform(0, 0.05)
+        weights = rng.uniform(-1, 1, atoms) + 1j * rng.uniform(-1, 1, atoms)
+        mu = atomic_measure(list(zip(angles.tolist(), weights.tolist())))
+        assert len(mu.atoms) == atoms
+        maps = (
+            MobiusSelfMap(DiskPoint(0.3 + 0.4j)),
+            BlaschkeMap((DiskPoint(0.2 - 0.5j),), complex(math.cos(0.7), math.sin(0.7))),
+            PolynomialMap((0.0, 0.0, 1.0)),
+            PolynomialMap((0.0, 0.0, 0.0, 1.0)),
+            PolynomialMap((0.1, 0.5 + 0.1j, 0.2)),
+            ComposedMap(DiskPoint(0.3 + 0.2j), PolynomialMap((0.1, 0.5, 0.2))),
+        )
+        for phi in maps:
+            for count in (1, 9, 33, 65):
+                limits = monomial_limit_evaluator(phi, count)
+                terms = [w * np.conjugate(limits(np.array([pos.value]))[0]) for pos, w in mu.atoms]
+                want = np.sum(terms, axis=0)
+                scale = np.sum(np.abs(terms), axis=0)
+                got = composition_moments(mu, phi, count)
+                assert np.all(np.abs(got - want) <= 1e-14 * scale)
+                assert got.base is None  # keeps no per-atom rows alive
 
     def test_composition_lower_bounded_by_ceiling(self):
         phi = MobiusSelfMap(DiskPoint(0.75))
