@@ -23,8 +23,11 @@ The dual search is one convex solve: a log-barrier Newton method for the
 best unit-ball polynomial on a circle grid twice as fine as the
 certificate's default, stopped once the barrier's duality bound is within
 0.1% of the value it has reached, and skipped when a Carathéodory–Toeplitz
-test proves the best monomial optimal.  It is deterministic and has no
-tuning knobs.
+test proves the best monomial optimal.  The barrier starts a hundred times
+further along its path than the plain n / ||g||, caps each step so that
+every grid node keeps half of its slack, line-searches in closed form
+without a transform, and takes the gradient and Hessian of each step from
+one FFT call.  It is deterministic and has no tuning knobs.
 """
 
 from __future__ import annotations
@@ -80,15 +83,18 @@ class PreconditionError(ValueError):
 # is scale invariant and every evaluation is a valid lower bound, so the
 # search can only under-shoot, never fabricate.
 
-# Relative duality gap at which the barrier solve stops; the factor by which
-# it raises t per round; its bounds on rounds and on Newton steps per round;
-# the Newton decrement lambda^2 / 2 that ends a round's centring; and the
-# shortest line-search step it tries.
+# Relative duality gap at which the barrier solve stops; its first t in units
+# of n / ||g||, and the factor by which it raises t per round; its bounds on
+# rounds and on Newton steps per round; the Newton decrement lambda^2 / 2
+# that ends a round's centring; the share of each node's slack that a step
+# keeps; and the shortest line-search step it tries.
 _DUAL_GAP = 1e-3
+_BARRIER_START = 100.0
 _BARRIER_STEP = 10.0
 _BARRIER_ROUNDS = 12
 _NEWTON_STEPS = 50
 _NEWTON_TOL = 1e-3
+_SLACK_KEPT = 0.5
 _MIN_STEP = 1e-10
 # Slack of the monomial-optimality test, relative to |g_m|: the shift added
 # to the Toeplitz matrix and the summed asymmetry |c_(-l) - conj(c_l)| it
@@ -123,27 +129,43 @@ def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
         F_t(b) = -t Re <b, g> - sum_k log s_k,   s_k = 1 - |h_b(t_k)|^2,
 
     over the real and imaginary parts of b, and t grows by ``_BARRIER_STEP``
-    per round.  The minimiser at t is within n/t of the grid optimum (one
-    dual variable per node), so the solve stops once 2n/t <= ``_DUAL_GAP``
-    Re <b, g>, the factor 2 leaving room for the approximate centring.  The
-    grid is twice the certificate's default because |h_b| overshoots
+    per round from ``_BARRIER_START`` n / ||g||; the rounds below that start
+    are far from the boundary and decide nothing.  A minimiser at t is
+    within n/t of the grid optimum (one dual variable per node), so after a
+    round that centres (its Newton decrement falls to ``_NEWTON_TOL``) the
+    solve stops once 2n/t <= ``_DUAL_GAP`` Re <b, g>, the factor 2 leaving
+    room for the approximate centring; after a round that uses up its
+    Newton steps, 2n/t bounds no gap, and the test is only a stopping rule.
+    The grid is twice the certificate's default because |h_b| overshoots
     between nodes: ``_tight_value`` certifies b on this same grid, where its
     second-order bound charges at most a relative 1.5e-4 for the overshoot.
 
-    Every product is an FFT and Z = [t_k^m] is never formed: h_b = n
-    ifft(b), the gradient is 2 fft(h/s)[m] - t g_m, and with q = 2/s^2 the
+    Every product is an FFT and Z = [t_k^m] is never formed.  h_b = n
+    ifft(b); with q = 2/s^2 the gradient is 2 fft(h/s)[m] - t g_m and the
     Hessian's quadratic form is delta^H T delta + Re(delta^T H delta), T
-    Toeplitz with T_ij = n ifft(q)[j - i] and H Hankel with H_ij = n
-    ifft(q conj(h)^2)[i + j], that is the real block matrix
+    Toeplitz with T_ij = n ifft(q)[j - i] = fft(q)[i - j] and H Hankel with
+    H_ij = n ifft(q conj(h)^2)[i + j] = conj(fft(q h^2)[i + j]) (as n
+    ifft(x) = conj(fft(conj x))), that is the real block matrix
     [[Re(T + H), -Im(T + H)], [Im(T - H), Re(T - H)]] on (Re delta, Im
-    delta); both lag sequences come from one ifft of the stacked pair, and
-    the slack s of an accepted line-search point serves the next step.
-    The only dense work is one real 2(d+1)-square solve per step,
-    and g is first scaled to max |g_m| = 1, which leaves the maximiser
-    unchanged.  Each iterate is strictly feasible on the grid; a
-    singular or non-finite solve, a non-finite objective or a failed line
-    search returns the last one, and both the rounds and the Newton steps
-    per round are bounded.
+    delta).  So one FFT call of the three rows h/s, q/2 and q h^2/2 gives
+    the gradient and both lag sequences, and the Hessian is two gathers
+    from the transformed rows.  The only dense work is one real
+    2(d+1)-square solve per step, and g is first scaled to max |g_m| = 1,
+    which leaves the maximiser unchanged.
+
+    The line search needs no transform.  Along a step with dh = n
+    ifft(step), s_k(tau) = s_k - tau (2 B_k + tau A_k) with A = |dh|^2 and
+    B = Re(conj(h) dh), and Re <b, g> is linear in tau.  The first trial
+    tau is 1, capped in closed form, tau <= c s_k / (B_k + sqrt(B_k^2 + c
+    A_k s_k)) with c = 1 - ``_SLACK_KEPT``, so that every node keeps that
+    share of its slack (the fraction-to-the-boundary rule of Wächter and
+    Biegler, *Math. Program.* 106, 2006); Armijo backtracking halves it
+    from there.  An accepted step updates b and h once, and s is recomputed
+    from h.  Each iterate is strictly feasible on the grid: a trial whose
+    slack is not finite and positive is never taken, and a singular or
+    non-finite solve, a recomputed slack that is not finite and positive or
+    a failed line search returns the last iterate.  Both the rounds and the
+    Newton steps per round are bounded.
     """
     w = g.size
     b = np.zeros(w, dtype=complex)
@@ -152,35 +174,36 @@ def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
         return b
     g = g / scale
     n = 2 * default_sample_count(degree_cap)
-    m = np.arange(w)
-    toeplitz = (m[None, :] - m[:, None]) % n  # j - i as an index into the n lags
-    hankel = m[None, :] + m[:, None]  # i + j < n
-    hess = np.empty((2 * w, 2 * w))
+    # The real unknowns are b.view(float), Re b_m then Im b_m for each m.  The
+    # Hessian is read from the float view of the transformed rows, laid out
+    # the same way: row 1 (q/2) at the Toeplitz lags i - j mod n, row 2
+    # (q h^2/2) at the Hankel lags i + j < n.  Re-Re and Im-Im entries read
+    # real parts, mixed entries imaginary parts; T's Re-row Im-column and
+    # H's Im-Im entries are negated, and all are doubled.
+    m = np.arange(2 * w) // 2
+    imag = np.arange(2 * w) % 2 == 1
+    part = imag[:, None] ^ imag[None, :]
+    toeplitz = 2 * n + 2 * ((m[:, None] - m[None, :]) % n) + part
+    hankel = 4 * n + 2 * (m[:, None] + m[None, :]) + part
+    toeplitz_scale = 2.0 - 4.0 * (~imag[:, None] & imag[None, :])
+    hankel_scale = 2.0 - 4.0 * (imag[:, None] & imag[None, :])
+    gf = g.view(float)
+    rows = np.zeros((3, n), dtype=complex)  # h/s, 1/s^2 and (h/s)^2
     h = np.zeros(n, dtype=complex)  # h_b on the grid
-
-    def objective(b: np.ndarray, h: np.ndarray, t: float) -> tuple[float, np.ndarray]:
-        # F_t(b), and the slack s that the next Newton step reuses
-        s = 1.0 - (h.real * h.real + h.imag * h.imag)
-        if not s.min() > 0.0:
-            return np.inf, s
-        return -t * float(np.vdot(b, g).real) - float(np.log(s).sum()), s
-
-    t = n / float(np.linalg.norm(g))  # at least n / sqrt(d + 1)
+    s = np.ones(n)  # its slack 1 - |h|^2
+    logsum = 0.0  # sum log s
+    t = _BARRIER_START * n / float(np.linalg.norm(g))  # at least 100 n / sqrt(d + 1)
     with np.errstate(all="ignore"):
         for _ in range(_BARRIER_ROUNDS):
-            value, s = objective(b, h, t)
             for _ in range(_NEWTON_STEPS):
-                if not np.isfinite(value):
-                    return b
-                grad = 2.0 * np.fft.fft(h / s)[:w] - t * g
-                q = 2.0 / (s * s)
-                lags = n * np.fft.ifft(np.stack((q, q * np.conjugate(h) ** 2)))
-                tp, hk = lags[0][toeplitz], lags[1][hankel]
-                hess[:w, :w] = tp.real + hk.real
-                hess[:w, w:] = -tp.imag - hk.imag
-                hess[w:, :w] = tp.imag - hk.imag
-                hess[w:, w:] = tp.real - hk.real
-                r = np.concatenate((grad.real, grad.imag))
+                inv = 1.0 / s
+                np.multiply(h, inv, out=rows[0])
+                np.multiply(inv, inv, out=rows[1].real)
+                np.multiply(rows[0], rows[0], out=rows[2])
+                spectra = np.fft.fft(rows)
+                flat = spectra.view(float).ravel()
+                hess = flat[toeplitz] * toeplitz_scale + flat[hankel] * hankel_scale
+                r = 2.0 * flat[: 2 * w] - t * gf  # the gradient 2 fft(h/s)[m] - t g_m
                 try:
                     p = np.linalg.solve(hess, -r)
                 except np.linalg.LinAlgError:
@@ -190,18 +213,31 @@ def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
                     return b
                 if decrement <= 2.0 * _NEWTON_TOL:
                     break
-                step = p[:w] + 1j * p[w:]
-                dh = n * np.fft.ifft(step, n)
-                tau, slope = 1.0, 0.25 * decrement  # Armijo: F falls by tau * slope
+                step = p.view(complex)
+                dh = np.fft.ifft(step, n, norm="forward")
+                quad = (dh * np.conjugate(dh)).real  # A
+                cross = (np.conjugate(h) * dh).real  # B
+                room = (1.0 - _SLACK_KEPT) * s
+                cap = room / (cross + np.sqrt(cross * cross + quad * room))
+                tau = min(1.0, float(cap.min()))
+                lin = float(np.vdot(b, g).real)
+                gain = float(np.vdot(step, g).real)
+                value = -t * lin - logsum
+                slope = 0.25 * decrement  # Armijo: F falls by tau * slope
                 while True:
-                    trial_b, trial_h = b + tau * step, h + tau * dh
-                    trial, trial_s = objective(trial_b, trial_h, t)
-                    if not trial > value - tau * slope:
-                        break
+                    trial_s = s - (2.0 * tau) * cross - (tau * tau) * quad
+                    if trial_s.min() > 0.0:
+                        trial_log = float(np.log(trial_s).sum())
+                        if -t * (lin + tau * gain) - trial_log <= value - tau * slope:
+                            break
                     tau *= 0.5
                     if tau < _MIN_STEP:
                         return b
-                b, h, value, s = trial_b, trial_h, trial, trial_s
+                next_h = h + tau * dh
+                next_s = 1.0 - (next_h * np.conjugate(next_h)).real
+                if not next_s.min() > 0.0:
+                    return b
+                b, h, s, logsum = b + tau * step, next_h, next_s, trial_log
             if 2.0 * n <= _DUAL_GAP * t * float(np.vdot(b, g).real):
                 break
             t *= _BARRIER_STEP

@@ -6,6 +6,14 @@ import numpy as np
 from cstrans.circle import TWO_PI, circle_angles
 from cstrans.disk_algebra import DiskAlgebraPoly, certified_sup, default_sample_count, horner, poly_eval
 from cstrans.measures import AtomicMeasure, atomic_measure
+from cstrans.norm_engine import (
+    _BARRIER_ROUNDS,
+    _BARRIER_STEP,
+    _DUAL_GAP,
+    _MIN_STEP,
+    _NEWTON_STEPS,
+    _NEWTON_TOL,
+)
 
 hypothesis.settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=60
@@ -90,3 +98,103 @@ def monomial_pushforward(mu: AtomicMeasure, n: int) -> AtomicMeasure:
         for m in range(n):
             pairs.append(((pos.angle + TWO_PI * m) / n, w / n))
     return atomic_measure(pairs)
+
+
+# A plain-step barrier solve of the grid problem that ``norm_engine._barrier``
+# solves: it starts at t = n/||g||, takes uncapped Armijo steps that
+# re-evaluate F at each trial, and makes three FFT calls a step.  It is the
+# oracle that the tests hold the barrier's certified values against.
+def reference_barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
+    """Near-optimal b for max Re <b, g> subject to |h_b(t_k)| <= 1.
+
+    A path-following log-barrier method (Boyd and Vandenberghe, *Convex
+    Optimization*, 2004, sections 11.3-11.5) on the grid t_k = exp(2 pi i
+    k/n), n = 2 * ``default_sample_count``: from b = 0, Newton's method with
+    a backtracking line search minimises
+
+        F_t(b) = -t Re <b, g> - sum_k log s_k,   s_k = 1 - |h_b(t_k)|^2,
+
+    over the real and imaginary parts of b, and t grows by ``_BARRIER_STEP``
+    per round.  The minimiser at t is within n/t of the grid optimum (one
+    dual variable per node), so the solve stops once 2n/t <= ``_DUAL_GAP``
+    Re <b, g>, the factor 2 leaving room for the approximate centring.  The
+    grid is twice the certificate's default because |h_b| overshoots
+    between nodes: ``_tight_value`` certifies b on this same grid, where its
+    second-order bound charges at most a relative 1.5e-4 for the overshoot.
+
+    Every product is an FFT and Z = [t_k^m] is never formed: h_b = n
+    ifft(b), the gradient is 2 fft(h/s)[m] - t g_m, and with q = 2/s^2 the
+    Hessian's quadratic form is delta^H T delta + Re(delta^T H delta), T
+    Toeplitz with T_ij = n ifft(q)[j - i] and H Hankel with H_ij = n
+    ifft(q conj(h)^2)[i + j], that is the real block matrix
+    [[Re(T + H), -Im(T + H)], [Im(T - H), Re(T - H)]] on (Re delta, Im
+    delta); both lag sequences come from one ifft of the stacked pair, and
+    the slack s of an accepted line-search point serves the next step.
+    The only dense work is one real 2(d+1)-square solve per step,
+    and g is first scaled to max |g_m| = 1, which leaves the maximiser
+    unchanged.  Each iterate is strictly feasible on the grid; a
+    singular or non-finite solve, a non-finite objective or a failed line
+    search returns the last one, and both the rounds and the Newton steps
+    per round are bounded.
+    """
+    w = g.size
+    b = np.zeros(w, dtype=complex)
+    scale = float(np.abs(g).max())
+    if not 0.0 < scale < np.inf:
+        return b
+    g = g / scale
+    n = 2 * default_sample_count(degree_cap)
+    m = np.arange(w)
+    toeplitz = (m[None, :] - m[:, None]) % n  # j - i as an index into the n lags
+    hankel = m[None, :] + m[:, None]  # i + j < n
+    hess = np.empty((2 * w, 2 * w))
+    h = np.zeros(n, dtype=complex)  # h_b on the grid
+
+    def objective(b: np.ndarray, h: np.ndarray, t: float) -> tuple[float, np.ndarray]:
+        # F_t(b), and the slack s that the next Newton step reuses
+        s = 1.0 - (h.real * h.real + h.imag * h.imag)
+        if not s.min() > 0.0:
+            return np.inf, s
+        return -t * float(np.vdot(b, g).real) - float(np.log(s).sum()), s
+
+    t = n / float(np.linalg.norm(g))  # at least n / sqrt(d + 1)
+    with np.errstate(all="ignore"):
+        for _ in range(_BARRIER_ROUNDS):
+            value, s = objective(b, h, t)
+            for _ in range(_NEWTON_STEPS):
+                if not np.isfinite(value):
+                    return b
+                grad = 2.0 * np.fft.fft(h / s)[:w] - t * g
+                q = 2.0 / (s * s)
+                lags = n * np.fft.ifft(np.stack((q, q * np.conjugate(h) ** 2)))
+                tp, hk = lags[0][toeplitz], lags[1][hankel]
+                hess[:w, :w] = tp.real + hk.real
+                hess[:w, w:] = -tp.imag - hk.imag
+                hess[w:, :w] = tp.imag - hk.imag
+                hess[w:, w:] = tp.real - hk.real
+                r = np.concatenate((grad.real, grad.imag))
+                try:
+                    p = np.linalg.solve(hess, -r)
+                except np.linalg.LinAlgError:
+                    return b
+                decrement = -float(r @ p)  # squared Newton decrement
+                if not np.isfinite(decrement):
+                    return b
+                if decrement <= 2.0 * _NEWTON_TOL:
+                    break
+                step = p[:w] + 1j * p[w:]
+                dh = n * np.fft.ifft(step, n)
+                tau, slope = 1.0, 0.25 * decrement  # Armijo: F falls by tau * slope
+                while True:
+                    trial_b, trial_h = b + tau * step, h + tau * dh
+                    trial, trial_s = objective(trial_b, trial_h, t)
+                    if not trial > value - tau * slope:
+                        break
+                    tau *= 0.5
+                    if tau < _MIN_STEP:
+                        return b
+                b, h, value, s = trial_b, trial_h, trial, trial_s
+            if 2.0 * n <= _DUAL_GAP * t * float(np.vdot(b, g).real):
+                break
+            t *= _BARRIER_STEP
+    return b

@@ -218,20 +218,23 @@ class TestFixtureHandling:
         assert main(args + ["--tol", "sandwich=-1"]) == 2
         assert "cases[0]: duality sandwich violated" in capsys.readouterr().err
 
-    def test_norm_estimate_does_not_import_scipy(self, tmp_path):
-        # scipy.optimize would add about 48 MB to every CLI process
-        doc = {"measures": [[{"angle": 0.0, "re": 1.0, "im": 0.0}]], "self_maps": [],
-               "cases": [{"measure": 0}]}
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_commands_import_only_numpy_and_the_standard_library(self, command, tmp_path):
+        # Every import is paid in each CLI process's start-up (scipy.optimize
+        # alone would add about 48 MB).  Modules loaded before the script
+        # runs come from the interpreter's own site hooks, not from cstrans.
         script = (
             "import sys\n"
+            "before = set(sys.modules)\n"
             "from cstrans.cli import main\n"
-            f"code = main(['norm-estimate', '--fixtures', {write_fixture(tmp_path, doc)!r},"
-            f" '--out', {str(tmp_path / 'ne.json')!r}])\n"
-            "print(code, 'scipy' in sys.modules)\n"
+            f"code = main([{command!r}, '--fixtures', 'standard', '--out', {str(tmp_path / 'out')!r}])\n"
+            "allowed = set(sys.stdlib_module_names) | {'numpy', 'cstrans'}\n"
+            "extra = {name.partition('.')[0] for name in set(sys.modules) - before} - allowed\n"
+            "print(code, sorted(extra))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False"]
+        assert proc.stdout.split() == ["0", "[]"]
 
     def test_norm_estimate_standard(self, tmp_path):
         out = tmp_path / "ne.json"

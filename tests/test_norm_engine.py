@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bound_bourdon_cima, cauchy_eval, monomial_pushforward, pairing, sample_unit_ball
-from cstrans import disk_algebra
+from conftest import (
+    bound_bourdon_cima,
+    cauchy_eval,
+    monomial_pushforward,
+    pairing,
+    reference_barrier,
+    sample_unit_ball,
+)
+from cstrans import disk_algebra, norm_engine
+from cstrans.cli import COMMANDS, RunConfig, run
 from cstrans.circle import CirclePoint, DiskPoint, QuadratureGrid, refine_until_stable
 from cstrans.disk_algebra import default_sample_count, make_poly, poly_eval
 from cstrans.kernel_op import monomial_limit_evaluator, monomial_radial_limits, p_phi_radial_limit
@@ -261,12 +269,13 @@ class TestLowerBounds:
             max_size=4,
             unique_by=lambda atom: round(atom[0], 6),
         ),
-        st.one_of(st.none(), st.floats(0.0, 0.9)),
-        st.integers(1, 12),
+        st.one_of(st.none(), st.floats(0.0, 0.95)),
+        st.integers(1, 24),
     )
     def test_barrier_stays_strictly_feasible(self, atoms, a, d):
         # The moments of mu itself (a is None), bounded by tv, or of mu
-        # under lambda_a, bounded by the ceiling (1 + 2a)/(1 - a) times tv.
+        # under lambda_a, bounded by the ceiling (1 + 2a)/(1 - a) times tv,
+        # over the scan's range of a.
         mu = atomic_measure([(t, r * complex(math.cos(p), math.sin(p))) for t, r, p in atoms])
         if a is None:
             g, ceiling = taylor_coeffs(mu, d + 1), tv_norm(mu)
@@ -275,9 +284,22 @@ class TestLowerBounds:
             ceiling = bound_cima_matheson(a) * tv_norm(mu)
         b = _barrier(g, d)
         n = 2 * default_sample_count(d)
-        assert float(np.abs(n * np.fft.ifft(b, n)).max()) < 1.0
+        assert float((1.0 - np.abs(n * np.fft.ifft(b, n)) ** 2).min()) > 0.0
         value, _ = _dual_search(g, d)
         assert float(np.max(np.abs(g))) <= value <= ceiling * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            np.zeros(5),
+            np.array([1.0, math.nan, 0.5, 0.0, 1j]),
+            np.array([1.0, 0.5, complex(math.inf, 1.0), 0.0, 0.0]),
+        ],
+        ids=["zero", "nan", "inf"],
+    )
+    def test_barrier_returns_zero_on_degenerate_moments(self, g):
+        b = _barrier(g.astype(complex), 4)
+        assert b.shape == (5,) and b.dtype == complex and not b.any()
 
     def test_search_is_monotone_in_degree(self):
         # A higher cap only adds unknowns, so the solve must not lose value.
@@ -285,6 +307,60 @@ class TestLowerBounds:
         low, _ = composition_knorm_lower(D1, phi, degree_cap=8)
         high, _ = composition_knorm_lower(D1, phi, degree_cap=16)
         assert high >= low * (1 - 1e-3)
+
+
+def _oracle_problems(count: int, seed: int):
+    """Seeded (g, d): the moments of 1-4 random atoms, as they are or under a
+    Möbius map with |a| <= 0.9 or a polynomial self-map, at caps 1-32."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(1, 5))
+        mu = atomic_measure(list(zip(
+            rng.uniform(0.0, 2 * math.pi, k),
+            rng.uniform(0.1, 1.0, k) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, k)),
+        )))
+        d = int(rng.integers(1, 33))
+        if i % 3 == 0:
+            g = taylor_coeffs(mu, d + 1)
+        elif i % 3 == 1:
+            a = rng.uniform(0.0, 0.9) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0))
+            g = composition_moments(mu, MobiusSelfMap(DiskPoint(complex(a))), d + 1)
+        else:
+            size = int(rng.integers(2, 5))
+            core = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+            phi = PolynomialMap(tuple(rng.uniform(0.5, 0.95) * core / np.sum(np.abs(core))))
+            g = composition_moments(mu, phi, d + 1)
+        yield g, d
+
+
+class TestBarrierAgainstReference:
+    """The barrier against ``reference_barrier``, a plain-step copy of it
+    that starts at t = n / ||g|| and line-searches by re-evaluating F."""
+
+    @staticmethod
+    def _values(g, d):
+        return _tight_value(_barrier(g, d), g)[0], _tight_value(reference_barrier(g, d), g)[0]
+
+    def test_random_problems_keep_the_reference_value(self):
+        for g, d in _oracle_problems(150, 20261020):
+            value, reference = self._values(g, d)
+            assert value >= reference * (1 - 1e-6), (d, value, reference)
+
+    def test_standard_searches_keep_the_reference_value(self, monkeypatch, tmp_path):
+        searches = []
+        barrier = norm_engine._barrier
+
+        def recording_barrier(g, d):
+            searches.append((g.copy(), d))
+            return barrier(g, d)
+
+        monkeypatch.setattr(norm_engine, "_barrier", recording_barrier)
+        for command in COMMANDS:
+            assert run(RunConfig(command, output=str(tmp_path / f"{command}.json"))) == 0
+        assert len(searches) >= 10
+        for g, d in searches:
+            value, reference = self._values(g, d)
+            assert value >= reference * (1 - 1e-7), (d, value, reference)
 
 
 class TestMonomialCertificate:
