@@ -34,16 +34,16 @@ def main() -> int:
     a_values = [args.amax * k / max(args.steps - 1, 1) for k in range(args.steps)]
     rows = sharpness_scan(a_values, degree_cap=args.degree_cap)
 
-    print(f"{'a':>6} {'ratio':>12} {'bound':>12} {'gap':>12} {'atoms':>6}")
+    print(f"{'a':>6} {'ratio':>12} {'bound':>12} {'gap':>12}")
     for row in rows:
-        print(f"{row.a:6.3f} {row.ratio:12.6f} {row.bound:12.6f} {row.margin:12.6f} {row.atom_count:6d}")
+        print(f"{row.a:6.3f} {row.ratio:12.6f} {row.bound:12.6f} {row.margin:12.6f}")
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["a", "ratio", "bound", "margin", "atom_count"])
+            writer.writerow(["a", "ratio", "bound", "margin"])
             for row in rows:
-                writer.writerow([row.a, row.ratio, row.bound, row.margin, row.atom_count])
+                writer.writerow([row.a, row.ratio, row.bound, row.margin])
         print(f"rows -> {args.out}")
     return 0
 

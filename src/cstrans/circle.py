@@ -73,8 +73,9 @@ class CirclePoint:
         return cmath.exp(1j * self.angle)
 
 
-def _require_closed_disk(z, tol: float = CLOSED_DISK_TOL) -> None:
-    if np.max(np.abs(z)) > 1.0 + tol:
+def require_closed_disk(z) -> None:
+    """Raise ValueError unless every |z| <= 1 + ``CLOSED_DISK_TOL``."""
+    if np.max(np.abs(z)) > 1.0 + CLOSED_DISK_TOL:
         raise ValueError("argument lies outside the closed unit disk")
 
 
@@ -96,7 +97,7 @@ def mobius_eval(a: DiskPoint, z):
     denominator cannot vanish for |a| < 1, |z| <= 1, so a vanishing
     denominator signals corrupted inputs rather than a user error.
     """
-    _require_closed_disk(z)
+    require_closed_disk(z)
     if np.min(np.abs(1.0 - np.conjugate(a.value) * z)) < 1e-15:
         raise ArithmeticError("Möbius denominator vanished on the closed disk")
     return mobius_lambda(a.value, z)

@@ -4,7 +4,7 @@ Loads a fixture file (or the built-in standard set), runs one verifier or
 scan, and writes a machine-readable JSON or CSV report.  Exit codes:
 0 all checks passed, 1 at least one verification failed, 2 input or
 convergence error.  Output is byte-for-byte deterministic for a fixed
-command, fixtures and options, except for the runtime_ms fields.
+command, fixtures and options: reports carry no wall-clock time.
 
 Fixture files are JSON documents
 ``{"measures": [...], "self_maps": [...], "cases": [...]}`` where each
@@ -17,20 +17,17 @@ measure is an array of ``{"angle", "re", "im"}`` atoms, each self-map is a
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
-import math
 import sys
-import time
 from dataclasses import dataclass, field
 
 from .circle import CirclePoint, DiskPoint, NonConvergenceError
 from .disk_algebra import make_poly, poly_to_obj
 from .fixtures import standard_fixtures
 from .kernel_op import p_lambda_closed_form, p_phi_at_stable
-from .measures import AtomicMeasure, measure_from_obj, measure_to_obj
+from .measures import measure_from_obj, measure_to_obj
 from .norm_engine import (
     DEFAULT_TOLERANCES,
     knorm_bracket,
@@ -42,6 +39,7 @@ from .norm_engine import (
 from .self_maps import (
     DiskSelfMap,
     MobiusSelfMap,
+    complex_from_obj,
     factorization_residual,
     schwarz_factorize,
     self_map_from_obj,
@@ -98,8 +96,12 @@ def _load_fixture_doc(path: str, command: str) -> tuple[list, list, list]:
     cases = doc.get("cases", [])
     if isinstance(cases, dict):  # the built-in set keys cases by command
         cases = cases.get(command, [])
-    if not isinstance(cases, list):
-        raise FixtureError("'cases' must be an array of case objects")
+    for key, pool in (("measures", measures_raw), ("self_maps", maps_raw), ("cases", cases)):
+        if not isinstance(pool, list):
+            raise FixtureError(f"'{key}' must be an array")
+    for i, case in enumerate(cases):
+        if not isinstance(case, dict):
+            raise FixtureError(f"cases[{i}]: expected an object, got {case!r}")
     measures = [
         measure_from_obj(m, where=f"measures[{i}]") for i, m in enumerate(measures_raw)
     ]
@@ -109,47 +111,45 @@ def _load_fixture_doc(path: str, command: str) -> tuple[list, list, list]:
     return measures, maps, cases
 
 
-def _case_measure(case: dict, measures: list, idx: int) -> AtomicMeasure:
-    if "measure" not in case:
-        raise FixtureError(f"cases[{idx}]: missing 'measure' index")
-    j = case["measure"]
-    if not isinstance(j, int) or not 0 <= j < len(measures):
-        raise FixtureError(f"cases[{idx}].measure: index {j!r} out of range")
-    return measures[j]
+# Readers of case fields; each error names the field, as in ``cases[2].h[1]``.
+
+def _int_at(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FixtureError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
-def _case_self_map(case: dict, maps: list, idx: int) -> DiskSelfMap:
-    if "self_map" not in case:
-        raise FixtureError(f"cases[{idx}]: missing 'self_map' index")
-    j = case["self_map"]
-    if not isinstance(j, int) or not 0 <= j < len(maps):
-        raise FixtureError(f"cases[{idx}].self_map: index {j!r} out of range")
-    return maps[j]
+def _complex_at(value, where: str) -> complex:
+    try:
+        return complex_from_obj(value)
+    except ValueError as exc:
+        raise FixtureError(f"{where}: {exc}") from exc
 
 
-def _case_complex(case: dict, key: str, idx: int) -> complex:
+def _real_at(value, where: str) -> float:
+    if isinstance(value, (list, tuple)):
+        raise FixtureError(f"{where}: expected a number, got {value!r}")
+    return _complex_at(value, where).real
+
+
+def _case_value(case: dict, key: str, idx: int, read):
     if key not in case:
         raise FixtureError(f"cases[{idx}]: missing '{key}'")
-    v = case[key]
-    if isinstance(v, (int, float)):
-        z = complex(v)
-    elif isinstance(v, (list, tuple)) and len(v) == 2:
-        z = complex(float(v[0]), float(v[1]))
-    else:
-        raise FixtureError(f"cases[{idx}].{key}: expected a number or [re, im] pair")
-    if not cmath.isfinite(z):
-        raise FixtureError(f"cases[{idx}].{key}: expected finite numbers, got {v!r}")
-    return z
+    return read(case[key], f"cases[{idx}].{key}")
 
 
-def _case_real(case: dict, key: str, idx: int) -> float:
-    try:
-        v = float(case[key])
-    except (TypeError, ValueError) as exc:
-        raise FixtureError(f"cases[{idx}].{key}: expected a number ({exc})") from exc
-    if not math.isfinite(v):
-        raise FixtureError(f"cases[{idx}].{key}: expected a finite number, got {v!r}")
-    return v
+def _case_array(case: dict, key: str, idx: int, read) -> list:
+    values = case.get(key)
+    if not isinstance(values, list) or not values:
+        raise FixtureError(f"cases[{idx}].{key}: expected a nonempty array, got {values!r}")
+    return [read(v, f"cases[{idx}].{key}[{k}]") for k, v in enumerate(values)]
+
+
+def _case_pick(case: dict, key: str, pool: list, idx: int):
+    j = _case_value(case, key, idx, _int_at)
+    if not 0 <= j < len(pool):
+        raise FixtureError(f"cases[{idx}].{key}: index {j!r} out of range")
+    return pool[j]
 
 
 def _map_label(phi: DiskSelfMap) -> str:
@@ -160,23 +160,22 @@ def _map_label(phi: DiskSelfMap) -> str:
 # Each handler turns case ``i`` into one report object.
 
 def _run_verifier(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
-    mu = _case_measure(case, measures, i)
+    mu = _case_pick(case, "measure", measures, i)
     common = (cfg.degree_cap, cfg.tol("pass_margin"))
     if cfg.command == "verify-lemma2":
-        report = verify_lemma2(mu, _case_complex(case, "a", i), *common)
+        report = verify_lemma2(mu, _case_value(case, "a", i, _complex_at), *common)
     elif cfg.command == "verify-lemma1":
-        report = verify_lemma1(mu, _case_self_map(case, maps, i), *common, cfg.tol("base_point"))
+        report = verify_lemma1(mu, _case_pick(case, "self_map", maps, i), *common, cfg.tol("base_point"))
     else:
         report = verify_eq1(
-            mu, _case_self_map(case, maps, i), *common,
+            mu, _case_pick(case, "self_map", maps, i), *common,
             cfg.tol("factorize_residual"), cfg.tol("base_point"),
         )
     return report.to_obj()
 
 
 def _run_factorize(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
-    phi = _case_self_map(case, maps, i)
-    t0 = time.perf_counter()
+    phi = _case_pick(case, "self_map", maps, i)
     base, psi = schwarz_factorize(phi)
     residual = factorization_residual(phi, base, psi)
     psi0 = abs(psi.at_zero())
@@ -189,26 +188,15 @@ def _run_factorize(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
         "reconstruction_residual": residual,
         "psi": self_map_to_obj(psi),
         "pass": passed,
-        "runtime_ms": (time.perf_counter() - t0) * 1e3,
     }
 
 
 def _run_kernel_compare(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
-    a = _case_complex(case, "a", i)
-    if "h" not in case:
-        raise FixtureError(f"cases[{i}]: missing 'h' coefficients")
-    try:
-        coeffs = [complex(float(p[0]), float(p[1])) for p in case["h"]]
-    except (TypeError, IndexError, ValueError) as exc:
-        raise FixtureError(f"cases[{i}].h: expected [re, im] pairs ({exc})") from exc
-    if not all(map(cmath.isfinite, coeffs)):
-        raise FixtureError(f"cases[{i}].h: expected finite numbers")
+    a = _case_value(case, "a", i, _complex_at)
+    coeffs = _case_array(case, "h", i, _complex_at)
     h = make_poly(coeffs)
-    if "zeta_angle" not in case or "r" not in case:
-        raise FixtureError(f"cases[{i}]: needs 'zeta_angle' and 'r'")
-    zeta = CirclePoint(_case_real(case, "zeta_angle", i))
-    r = _case_real(case, "r", i)
-    t0 = time.perf_counter()
+    zeta = CirclePoint(_case_value(case, "zeta_angle", i, _real_at))
+    r = _case_value(case, "r", i, _real_at)
     phi = MobiusSelfMap(DiskPoint(a))
     closed = p_lambda_closed_form(a, h, zeta, r)
     quad = p_phi_at_stable(phi, h, zeta, r)
@@ -231,14 +219,12 @@ def _run_kernel_compare(cfg: RunConfig, measures, maps, case: dict, i: int) -> d
         "quad_im": quad.imag,
         "abs_diff": diff,
         "pass": diff <= tol,
-        "runtime_ms": (time.perf_counter() - t0) * 1e3,
     }
 
 
 def _run_norm_estimate(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
-    mu = _case_measure(case, measures, i)
-    cap = int(case.get("degree_cap", cfg.degree_cap))
-    t0 = time.perf_counter()
+    mu = _case_pick(case, "measure", measures, i)
+    cap = _int_at(case.get("degree_cap", cfg.degree_cap), f"cases[{i}].degree_cap")
     # NormBracket raises when lower > upper + tol, so a built bracket passed.
     bracket = knorm_bracket(mu, cap, cfg.tol("sandwich"))
     return {
@@ -252,33 +238,26 @@ def _run_norm_estimate(cfg: RunConfig, measures, maps, case: dict, i: int) -> di
             "h": poly_to_obj(bracket.witness_h),
             "mu": measure_to_obj(bracket.witness_mu),
         },
-        "runtime_ms": (time.perf_counter() - t0) * 1e3,
     }
 
 
 def _run_sharpness_scan(cfg: RunConfig, measures, maps, case: dict, i: int) -> dict:
-    a_values = case.get("a_values")
-    if not isinstance(a_values, list) or not a_values:
-        raise FixtureError(f"cases[{i}]: missing 'a_values' list")
-    cap = int(case.get("degree_cap", cfg.degree_cap))
-    t0 = time.perf_counter()
-    rows = sharpness_scan([float(a) for a in a_values], cap)
+    a_values = _case_array(case, "a_values", i, _real_at)
+    cap = _int_at(case.get("degree_cap", cfg.degree_cap), f"cases[{i}].degree_cap")
+    rows = sharpness_scan(a_values, cap)
     return {
         "claim": "achieved ratio against the composition bound",
-        "inputs": {"a_values": a_values, "degree_cap": cap},
+        "inputs": {"a_values": case["a_values"], "degree_cap": cap},
         "rows": [
             {
                 "a": row.a,
                 "ratio": row.ratio,
                 "bound": row.bound,
                 "margin": row.margin,
-                "atom_count": row.atom_count,
-                "measure": measure_to_obj(row.measure),
             }
             for row in rows
         ],
         "pass": all(row.ratio <= row.bound + cfg.tol("pass_margin") for row in rows),
-        "runtime_ms": (time.perf_counter() - t0) * 1e3,
     }
 
 
@@ -292,19 +271,17 @@ _HANDLERS = {
     "sharpness-scan": _run_sharpness_scan,
 }
 
-_CSV_COLUMNS = ["claim", "lower", "upper", "bound", "pass", "runtime_ms"]
+_CSV_COLUMNS = ["claim", "lower", "upper", "bound", "pass"]
 
 
 def _reports_to_csv(command: str, reports: list[dict]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if command == "sharpness-scan":
-        writer.writerow(["a", "ratio", "bound", "margin", "atom_count"])
+        writer.writerow(["a", "ratio", "bound", "margin"])
         for rep in reports:
             for row in rep["rows"]:
-                writer.writerow(
-                    [row["a"], row["ratio"], row["bound"], row["margin"], row["atom_count"]]
-                )
+                writer.writerow([row["a"], row["ratio"], row["bound"], row["margin"]])
     elif command == "kernel-compare":
         writer.writerow(["zeta_angle", "r", "re", "im", "abs", "quad_re", "quad_im", "abs_diff", "pass"])
         for rep in reports:
@@ -320,7 +297,6 @@ def _reports_to_csv(command: str, reports: list[dict]) -> str:
 
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
-    t0 = time.perf_counter()
     try:
         measures, maps, cases = _load_fixture_doc(config.fixtures, config.command)
         if not cases:
@@ -345,7 +321,6 @@ def run(config: RunConfig) -> int:
             "fixtures": config.fixtures,
             "reports": reports,
             "pass": all_pass,
-            "runtime_ms": (time.perf_counter() - t0) * 1e3,
         }
         text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     if config.output and config.output != "-":

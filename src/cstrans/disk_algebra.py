@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circle import circle_angles
+from .circle import circle_angles, require_closed_disk
 
 # Automated searches never go past this degree; certification cost grows
 # linearly while pairing suprema against smooth kernels gain little.
@@ -87,8 +87,7 @@ def poly_eval(coeffs_or_poly, z):
         else coeffs_or_poly
     )
     arr = _as_coeff_array(coeffs)
-    if np.max(np.abs(z)) > 1.0 + 1e-12:
-        raise ValueError("polynomial test functions live on the closed unit disk")
+    require_closed_disk(z)
     return horner(arr, z)
 
 

@@ -32,7 +32,6 @@ one FFT call.  It is deterministic and has no tuning knobs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -418,7 +417,6 @@ class VerificationReport:
     bound: float
     passed: bool
     witnesses: dict
-    runtime_ms: float
     notes: tuple[str, ...] = ()
 
     def to_obj(self) -> dict:
@@ -430,7 +428,6 @@ class VerificationReport:
             "bound": self.bound,
             "pass": self.passed,
             "witnesses": self.witnesses,
-            "runtime_ms": self.runtime_ms,
         }
         if self.notes:
             obj["notes"] = list(self.notes)
@@ -444,7 +441,6 @@ def verify_lemma2(
     tol: float = PASS_MARGIN,
 ) -> VerificationReport:
     """Check the Möbius composition bound: lower(f o lambda_a) <= (1+2|a|)/(1-|a|) * tv."""
-    t0 = time.perf_counter()
     a_pt = a if isinstance(a, DiskPoint) else DiskPoint(complex(a))
     phi = MobiusSelfMap(a_pt)
     lower, witness = composition_knorm_lower(mu, phi, degree_cap)
@@ -459,7 +455,6 @@ def verify_lemma2(
         bound=bound,
         passed=passed,
         witnesses={"h": poly_to_obj(witness), "ratio_to_ceiling": lower / (bound * upper)},
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -474,7 +469,6 @@ def verify_lemma1(
 
     Requires |psi(0)| <= ``base_point_tol``.
     """
-    t0 = time.perf_counter()
     psi0 = abs(psi.at_zero())
     if psi0 > base_point_tol:
         raise PreconditionError(f"precondition psi(0)=0 violated: |psi(0)| = {psi0:.3g}")
@@ -489,7 +483,6 @@ def verify_lemma1(
         bound=1.0,
         passed=passed,
         witnesses={"h": poly_to_obj(witness)},
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
         notes=(f"route: {limit_route(psi)}",),
     )
 
@@ -508,7 +501,6 @@ def verify_eq1(
     The factorization must reconstruct phi to ``residual_tol`` with
     |psi(0)| <= ``base_point_tol``.
     """
-    t0 = time.perf_counter()
     base, psi = schwarz_factorize(phi)
     residual = factorization_residual(phi, base, psi)
     psi0 = abs(psi.at_zero())
@@ -546,7 +538,6 @@ def verify_eq1(
             },
             "mobius_step": mobius_step.to_obj(),
         },
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
         notes=tuple(notes),
     )
 
@@ -557,16 +548,11 @@ def verify_eq1(
 @dataclass(frozen=True)
 class ScanRow:
     """One scan row: the certified ratio lower(f o lambda_a) / tv(mu) that
-    the unit point mass ``measure`` reaches, against the ceiling ``bound``."""
+    the unit point mass at 1 reaches, against the ceiling ``bound``."""
 
     a: float
     ratio: float
     bound: float
-    measure: AtomicMeasure = field(repr=False)
-
-    @property
-    def atom_count(self) -> int:
-        return len(self.measure.atoms)
 
     @property
     def margin(self) -> float:
@@ -578,7 +564,7 @@ def _scan_row(a: float, degree_cap: int) -> ScanRow:
     phi = MobiusSelfMap(DiskPoint(complex(a)))
     lower, _ = composition_knorm_lower(mu, phi, degree_cap)
     # tv(mu) = 1, so the certified lower bound is the ratio itself.
-    return ScanRow(a=a, ratio=lower, bound=bound_cima_matheson(a), measure=mu)
+    return ScanRow(a=a, ratio=lower, bound=bound_cima_matheson(a))
 
 
 def sharpness_scan(a_values, degree_cap: int = 6) -> list[ScanRow]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import DiskPoint, disk_grid, mobius_eval, mobius_lambda
+from .circle import DiskPoint, disk_grid, mobius_eval, mobius_lambda, require_closed_disk
 from .disk_algebra import certified_sup, horner
 
 # Construction accepts certificates this far above 1 (pure rounding slop).
@@ -38,8 +38,7 @@ class DiskSelfMap:
 
 def self_map_eval(phi: DiskSelfMap, z):
     """Evaluate phi on the closed disk (scalar or array)."""
-    if np.max(np.abs(z)) > 1.0 + 1e-12:
-        raise ValueError("self-maps are evaluated on the closed unit disk")
+    require_closed_disk(z)
     return phi.eval_inner(z)
 
 
@@ -153,15 +152,20 @@ def factorization_residual(
 
 # JSON literals, discriminated by "kind".
 
-def _c(pair) -> complex:
-    if isinstance(pair, (int, float)):
-        z = complex(pair)
-    elif isinstance(pair, (list, tuple)) and len(pair) == 2:
-        z = complex(float(pair[0]), float(pair[1]))
-    else:
-        raise ValueError(f"expected a number or [re, im] pair, got {pair!r}")
+def complex_from_obj(obj) -> complex:
+    """A finite complex number from a JSON number or ``[re, im]`` pair.
+
+    Raises ValueError for anything else, booleans and strings included.
+    """
+    parts = obj if isinstance(obj, (list, tuple)) and len(obj) == 2 else (obj, 0.0)
+    if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in parts):
+        raise ValueError(f"expected a number or [re, im] pair, got {obj!r}")
+    try:
+        z = complex(float(parts[0]), float(parts[1]))
+    except OverflowError:  # an integer literal beyond the float range
+        z = cmath.inf
     if not cmath.isfinite(z):
-        raise ValueError(f"expected finite numbers, got {pair!r}")
+        raise ValueError(f"expected finite numbers, got {obj!r}")
     return z
 
 
@@ -195,15 +199,15 @@ def self_map_from_obj(obj: dict, where: str = "self_map") -> DiskSelfMap:
     kind = obj["kind"]
     try:
         if kind == "polynomial":
-            return PolynomialMap(tuple(_c(c) for c in obj["coeffs"]))
+            return PolynomialMap(tuple(complex_from_obj(c) for c in obj["coeffs"]))
         if kind == "blaschke":
-            zeros = tuple(DiskPoint(_c(z)) for z in obj["zeros"])
-            return BlaschkeMap(zeros, _c(obj.get("rotation", 1.0)))
+            zeros = tuple(DiskPoint(complex_from_obj(z)) for z in obj["zeros"])
+            return BlaschkeMap(zeros, complex_from_obj(obj.get("rotation", 1.0)))
         if kind == "mobius":
-            return MobiusSelfMap(DiskPoint(_c(obj["a"])))
+            return MobiusSelfMap(DiskPoint(complex_from_obj(obj["a"])))
         if kind == "composed":
             inner = self_map_from_obj(obj["inner"], where=f"{where}.inner")
-            return ComposedMap(DiskPoint(_c(obj["outer_a"])), inner)
+            return ComposedMap(DiskPoint(complex_from_obj(obj["outer_a"])), inner)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{where}: bad '{kind}' literal ({exc})") from exc
     raise ValueError(f"{where}: unknown kind {kind!r}")

@@ -6,7 +6,6 @@ to see them); a failed assertion marks the criterion failed.
 
 import json
 import math
-import re
 import subprocess
 import sys
 import time
@@ -174,9 +173,6 @@ def test_criterion_8_sharpness_scan_honesty():
         assert rows[0].ratio >= 1.0 - 1e-6
 
 
-RUNTIME = re.compile(rb'"runtime_ms": [0-9.eE+-]+')
-
-
 def test_criterion_9_cli_determinism(tmp_path):
     with _Clock("9 CLI determinism", 300):
         outputs = []
@@ -190,6 +186,6 @@ def test_criterion_9_cli_determinism(tmp_path):
                 capture_output=True,
             )
             assert proc.returncode == 0, proc.stderr.decode()
-            outputs.append(RUNTIME.sub(b'"runtime_ms": 0', out.read_bytes()))
+            outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["pass"] is True

@@ -1,20 +1,12 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 
 import pytest
 
 from cstrans.cli import COMMANDS, RunConfig, main, run
-
-RUNTIME = re.compile(r'"runtime_ms": [0-9.eE+-]+')
-
-
-def strip_runtimes(text: str) -> str:
-    return RUNTIME.sub('"runtime_ms": 0', text)
-
 
 def write_fixture(tmp_path, doc, name="fix.json"):
     path = tmp_path / name
@@ -127,22 +119,40 @@ class TestExitCodes:
         assert err.startswith(f"error: {anchor}: ") and "finite" in err
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, anchor",
         [
-            ("zeta_angle", math.inf),
-            ("h", [[0.5, 0.0], [math.nan, 0.0]]),
-            ("r", math.nan),
-            ("a", [math.nan, 0.0]),
+            ("zeta_angle", math.inf, "zeta_angle"),
+            ("h", [[0.5, 0.0], [math.nan, 0.0]], "h[1]"),
+            ("r", math.nan, "r"),
+            ("a", [math.nan, 0.0], "a"),
         ],
         ids=["zeta-angle-inf", "h-coeff-nan", "r-nan", "a-nan"],
     )
-    def test_non_finite_kernel_compare_field_is_input_error(self, tmp_path, capsys, field, value):
+    def test_non_finite_kernel_compare_field_is_input_error(self, tmp_path, capsys, field, value, anchor):
         case = {"a": [0.5, 0.0], "h": [[1.0, 0.0], [0.5, 0.0]], "zeta_angle": 1.0, "r": 0.9}
         case[field] = value
         code = run(RunConfig("kernel-compare", fixtures=write_fixture(tmp_path, {"cases": [case]})))
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cases[0].{field}: ") and "finite" in err
+        assert err.startswith(f"error: cases[0].{anchor}: ") and "finite" in err
+
+    @pytest.mark.parametrize(
+        "h, anchor",
+        [
+            ([[1.0, 0.0, 7.0], [0.0, 1.0]], "h[0]"),
+            ([[1.0, 0.0], [0.0, 1.0, "junk"]], "h[1]"),
+            ([[None, 0.0]], "h[0]"),
+            ([{}], "h[0]"),
+            ({}, "h"),
+            ([[10**400, 0.0]], "h[0]"),
+        ],
+        ids=["triple", "junk-triple", "null-re", "object", "not-an-array", "huge-integer"],
+    )
+    def test_malformed_kernel_compare_coefficient_is_input_error(self, tmp_path, capsys, h, anchor):
+        case = {"a": [0.5, 0.0], "h": h, "zeta_angle": 1.0, "r": 0.9}
+        code = run(RunConfig("kernel-compare", fixtures=write_fixture(tmp_path, {"cases": [case]})))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cases[0].{anchor}: ")
 
     def test_failed_verification_is_exit_one(self, tmp_path):
         # an impossible tolerance turns a passing comparison into a failure
@@ -198,7 +208,7 @@ class TestFixtureHandling:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "a,ratio,bound,margin,atom_count"
+        assert lines[0] == "a,ratio,bound,margin"
         assert len(lines) == 3
 
     def test_sharpness_scan_honours_degree_cap(self, tmp_path):
@@ -264,20 +274,100 @@ class TestEntryPoint:
         assert run(RunConfig("factorize")) == 0
         assert '"command": "factorize"' in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_reports_do_not_depend_on_blas_threads(self, command):
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [pytest.param(c, "json", id=c) for c in COMMANDS]
+        + [pytest.param(c, "csv", id=f"{c}-csv") for c in COMMANDS],
+    )
+    def test_reports_do_not_depend_on_blas_threads(self, command, fmt):
         # No report value may come from a BLAS call whose summation order
         # follows the thread count: the dual search's products are FFTs and
         # the kernel layer sums its series and moments without BLAS.
+        # Reports carry no wall-clock time, so the raw bytes must agree.
         outputs = []
         for threads in (None, "1"):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
             if threads is not None:
                 env["OPENBLAS_NUM_THREADS"] = threads
             proc = subprocess.run(
-                [sys.executable, "-m", "cstrans", command, "--fixtures", "standard"],
-                capture_output=True, text=True, env=env,
+                [sys.executable, "-m", "cstrans", command, "--fixtures", "standard", "--format", fmt],
+                capture_output=True, env=env,
             )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(strip_runtimes(proc.stdout))
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+ATOM = {"angle": 0.0, "re": 1.0, "im": 0.0}
+
+# One small valid document per command; the sweep below corrupts each of
+# their JSON paths in turn.
+VALID_DOCS = {
+    "verify-bound": {"measures": [[ATOM]], "self_maps": [{"kind": "mobius", "a": [0.5, 0.0]}],
+                     "cases": [{"measure": 0, "self_map": 0}]},
+    "verify-lemma1": {"measures": [[ATOM]],
+                      "self_maps": [{"kind": "polynomial", "coeffs": [[0.0, 0.0], [0.5, 0.0]]}],
+                      "cases": [{"measure": 0, "self_map": 0}]},
+    "verify-lemma2": {"measures": [[ATOM]], "cases": [{"measure": 0, "a": [0.5, 0.0]}]},
+    "factorize": {"self_maps": [
+        {"kind": "composed", "outer_a": [0.25, 0.0],
+         "inner": {"kind": "polynomial", "coeffs": [[0.25, 0.0], [0.0, 0.0], [0.5, 0.0]]}},
+        {"kind": "blaschke", "zeros": [[0.3, 0.0]], "rotation": [0.0, 1.0]},
+    ], "cases": [{"self_map": 0}, {"self_map": 1}]},
+    "kernel-compare": {"cases": [{"a": [0.5, 0.0], "h": [[1.0, 0.0], [0.5, 0.0]],
+                                  "zeta_angle": 1.0, "r": 0.9}]},
+    "norm-estimate": {"measures": [[ATOM, {"angle": 3.0, "re": -0.5, "im": 0.25}]],
+                      "cases": [{"measure": 0, "degree_cap": 2}]},
+    "sharpness-scan": {"cases": [{"a_values": [0.0, 0.5], "degree_cap": 2}]},
+}
+
+JUNK = (None, True, "x", 5, -1, 0, 2.7, [], {}, [1, 2, 3], math.inf, math.nan, 1e300)
+
+
+def _json_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+class TestMalformedFixtures:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_corrupted_document_raises(self, command, tmp_path, capsys):
+        # Exit 1 means a failed verification, so a traceback (which also
+        # exits 1) must never stand in for an input error.
+        doc = VALID_DOCS[command]
+
+        def args(fixture_doc):
+            return [command, "--fixtures", write_fixture(tmp_path, fixture_doc),
+                    "--out", str(tmp_path / "out"), "--degree-cap", "2"]
+
+        assert main(args(doc)) == 0
+        raised = []
+        for path in _json_paths(doc):
+            for value in JUNK:
+                try:
+                    code = main(args(_replaced(doc, path, value)))
+                except Exception as exc:  # noqa: BLE001 - the failure being tested
+                    raised.append((path, value, repr(exc)))
+                else:
+                    assert code in (0, 1, 2), (path, value, code)
+        capsys.readouterr()
+        assert raised == []
+
+    @pytest.mark.parametrize("value", [2.7, "3", True, None], ids=["float", "string", "bool", "null"])
+    def test_degree_cap_must_be_an_integer(self, tmp_path, capsys, value):
+        doc = {"cases": [{"a_values": [0.5], "degree_cap": value}]}
+        assert run(RunConfig("sharpness-scan", fixtures=write_fixture(tmp_path, doc))) == 2
+        assert capsys.readouterr().err.startswith("error: cases[0].degree_cap: expected an integer")

@@ -602,8 +602,6 @@ class TestSharpnessScan:
         a_values = [0.0, 0.3, 0.95]
         rows = sharpness_scan(a_values, degree_cap=4)
         for a, row in zip(a_values, rows):
-            assert row.measure == point_mass(0.0)
-            assert row.atom_count == 1
             phi = MobiusSelfMap(DiskPoint(complex(a)))
             lower, _ = composition_knorm_lower(D1, phi, 4)
             assert row.ratio == lower
@@ -613,7 +611,6 @@ class TestSharpnessScan:
         assert rows[0].ratio >= 1.0 - 1e-6
         for row in rows:
             assert row.ratio <= row.bound + 1e-8
-            assert 1 <= row.atom_count <= 4
 
     def test_half_reaches_most_of_the_ceiling(self):
         # the ceiling is 4; the convex solve certifies 3.487 at this cap

@@ -20,11 +20,10 @@ def test_sharpness_scan_script_writes_rows(tmp_path):
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["a", "ratio", "bound", "margin", "atom_count"]
+    assert rows[0] == ["a", "ratio", "bound", "margin"]
     assert [float(row[0]) for row in rows[1:]] == [0.0, 0.45, 0.9]
-    for a, ratio, bound, margin, atom_count in rows[1:]:
+    for a, ratio, bound, margin in rows[1:]:
         assert float(ratio) <= float(bound) + 1e-8
-        assert atom_count == "1"
 
 
 def test_sharpness_scan_script_rejects_bad_arguments():
