@@ -10,8 +10,9 @@ are the even nodes of the 2N grid, so each doubling evaluates the integrand
 only at the N new midpoints and averages the two rules,
 T_2N = (T_N + M_N)/2 (Trefethen and Weideman, SIAM Review 56, 2014).
 
-Everything in this module is an immutable value or a pure function; all
-objects are safe to share between threads.
+The readers of JSON number literals live here too, so that every loader
+can share them.  Everything in this module is an immutable value or a pure
+function; all objects are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -71,6 +72,30 @@ class CirclePoint:
     @cached_property
     def value(self) -> complex:
         return cmath.exp(1j * self.angle)
+
+
+def complex_from_obj(obj) -> complex:
+    """A finite complex number from a JSON number or ``[re, im]`` pair.
+
+    Raises ValueError for anything else, booleans and strings included.
+    """
+    parts = obj if isinstance(obj, (list, tuple)) and len(obj) == 2 else (obj, 0.0)
+    if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in parts):
+        raise ValueError(f"expected a number or [re, im] pair, got {obj!r}")
+    try:
+        z = complex(float(parts[0]), float(parts[1]))
+    except OverflowError:  # an integer literal beyond the float range
+        z = cmath.inf
+    if not cmath.isfinite(z):
+        raise ValueError(f"expected finite numbers, got {obj!r}")
+    return z
+
+
+def real_from_obj(obj) -> float:
+    """A finite real number from a JSON number, by ``complex_from_obj``'s rule."""
+    if isinstance(obj, (list, tuple)):
+        raise ValueError(f"expected a number, got {obj!r}")
+    return complex_from_obj(obj).real
 
 
 def require_closed_disk(z) -> None:

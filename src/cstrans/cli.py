@@ -23,7 +23,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .circle import CirclePoint, DiskPoint, NonConvergenceError
+from .circle import CirclePoint, DiskPoint, NonConvergenceError, complex_from_obj, real_from_obj
 from .disk_algebra import make_poly, poly_to_obj
 from .fixtures import standard_fixtures
 from .kernel_op import p_lambda_closed_form, p_phi_at_stable
@@ -39,7 +39,6 @@ from .norm_engine import (
 from .self_maps import (
     DiskSelfMap,
     MobiusSelfMap,
-    complex_from_obj,
     factorization_residual,
     schwarz_factorize,
     self_map_from_obj,
@@ -127,9 +126,10 @@ def _complex_at(value, where: str) -> complex:
 
 
 def _real_at(value, where: str) -> float:
-    if isinstance(value, (list, tuple)):
-        raise FixtureError(f"{where}: expected a number, got {value!r}")
-    return _complex_at(value, where).real
+    try:
+        return real_from_obj(value)
+    except ValueError as exc:
+        raise FixtureError(f"{where}: {exc}") from exc
 
 
 def _case_value(case: dict, key: str, idx: int, read):

@@ -32,28 +32,23 @@ from .circle import circle_angles, require_closed_disk
 SEARCH_DEGREE_CAP = 64
 
 
-def _as_coeff_array(coeffs, max_ndim: int = 1) -> np.ndarray:
-    """``coeffs`` as a complex array: one row, or a stack of rows where
-    ``max_ndim`` is 2.  Arrays skip the ``list`` round trip."""
+def _as_coeff_array(coeffs) -> np.ndarray:
+    """``coeffs`` as a 1-d complex array; arrays skip the ``list`` round trip."""
     arr = np.asarray(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs), dtype=complex)
-    if not 1 <= arr.ndim <= max_ndim or arr.size == 0:
-        shape = "1-d sequence" if max_ndim == 1 else "1-d or 2-d array"
-        raise ValueError(f"coeffs must be a nonempty {shape}")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("coeffs must be a nonempty 1-d sequence")
     return arr
 
 
-def _degrees(arr: np.ndarray):
-    """The index of the last nonzero coefficient (0 for the zero polynomial):
-    an int for one row, an array with one per row for a stack."""
-    if arr.ndim == 1:
-        nonzero = np.flatnonzero(arr)
-        return int(nonzero[-1]) if nonzero.size else 0
-    return ((arr != 0) * np.arange(arr.shape[-1])).max(-1)
+def _degree(arr: np.ndarray) -> int:
+    """The index of the last nonzero coefficient (0 for the zero polynomial)."""
+    nonzero = np.flatnonzero(arr)
+    return int(nonzero[-1]) if nonzero.size else 0
 
 
 def poly_degree(coeffs) -> int:
     """Degree after trimming trailing zero coefficients (0 for the zero poly)."""
-    return _degrees(_as_coeff_array(coeffs))
+    return _degree(_as_coeff_array(coeffs))
 
 
 def default_sample_count(degree: int) -> int:
@@ -68,11 +63,8 @@ def coefficient_sum_bound(coeffs) -> float:
 def horner(coeffs, z):
     """Horner evaluation with no checks; ``coeffs`` lowest degree first.
 
-    Returns a complex for scalar ``z`` and an array otherwise.  A 2-d array
-    of ``coeffs`` is a stack of rows and gives one row of values per row.
+    Returns a complex for scalar ``z`` and an array otherwise.
     """
-    if getattr(coeffs, "ndim", 1) == 2:
-        coeffs = coeffs.T[:, :, None]
     acc = np.zeros_like(np.asarray(z, dtype=complex))
     for c in coeffs[::-1]:
         acc = acc * z + c
@@ -98,11 +90,7 @@ def _circle_nodes(sample_count: int) -> np.ndarray:
     return nodes
 
 
-def _bernstein_factor(degree: int, sample_count: int) -> float:
-    return math.sqrt(1.0 - 0.5 * (degree * math.pi / sample_count) ** 2)
-
-
-def certify_sup_norm(coeffs, sample_count: int) -> float | np.ndarray:
+def certify_sup_norm(coeffs, sample_count: int) -> float:
     """Certified upper bound for sup |h| on the circle from equispaced samples.
 
     Returns max_k |h(t_k)| / sqrt(1 - (d pi/N)^2 / 2), which dominates
@@ -110,46 +98,26 @@ def certify_sup_norm(coeffs, sample_count: int) -> float | np.ndarray:
     polynomial of degree d, falls by at most a factor 1 - (d pi/N)^2 / 2
     from its maximum to the nearest node (the module docstring has the
     proof).  The bound needs N > pi d / sqrt(2); the check asks for N > pi d.
-
-    ``coeffs`` may also be a 2-d stack of coefficient rows.  One Horner
-    pass then samples every row, each row's bound uses that row's own
-    degree d, and the result is an array of bounds, each bit for bit the
-    row's own certificate.  The check applies to the largest degree.
     """
-    arr = _as_coeff_array(coeffs, max_ndim=2)
-    degs = _degrees(arr)
-    d = degs if arr.ndim == 1 else int(degs.max())
+    arr = _as_coeff_array(coeffs)
+    d = _degree(arr)
     if sample_count <= math.pi * d:
         raise ValueError(f"sample_count {sample_count} too small for degree {d}")
     if not arr.any():
-        return 0.0 if arr.ndim == 1 else np.zeros(arr.shape[0])
-    peaks = np.abs(horner(arr, _circle_nodes(sample_count))).max(-1)
-    if arr.ndim == 1:
-        return float(peaks) / _bernstein_factor(d, sample_count)
-    return peaks / np.array([_bernstein_factor(k, sample_count) for k in degs.tolist()])
+        return 0.0
+    peak = float(np.abs(horner(arr, _circle_nodes(sample_count))).max())
+    return peak / math.sqrt(1.0 - 0.5 * (d * math.pi / sample_count) ** 2)
 
 
-def certified_sup(coeffs, sample_count: int | None = None) -> float | np.ndarray:
+def certified_sup(coeffs, sample_count: int | None = None) -> float:
     """The smaller of the two sound sup-norm bounds: sampled and coefficient sum.
 
     ``sample_count`` defaults to ``default_sample_count`` of the degree.
-    A 2-d stack of coefficient rows gives an array of bounds, each bit for
-    bit the row's own; rows that share a sample count share one
-    ``certify_sup_norm`` call.
     """
-    arr = _as_coeff_array(coeffs, max_ndim=2)
-    sums = np.abs(arr).sum(-1)
-    if sample_count is not None:
-        sampled = certify_sup_norm(arr, sample_count)
-    elif arr.ndim == 1:
-        sampled = certify_sup_norm(arr, default_sample_count(_degrees(arr)))
-    else:
-        counts = np.array([default_sample_count(d) for d in _degrees(arr).tolist()])
-        sampled = np.empty(arr.shape[0])
-        for n in set(counts.tolist()):
-            rows = counts == n
-            sampled[rows] = certify_sup_norm(arr[rows], n)
-    return min(sampled, float(sums)) if arr.ndim == 1 else np.minimum(sampled, sums)
+    arr = _as_coeff_array(coeffs)
+    if sample_count is None:
+        sample_count = default_sample_count(_degree(arr))
+    return min(certify_sup_norm(arr, sample_count), float(np.abs(arr).sum()))
 
 
 @dataclass(frozen=True)

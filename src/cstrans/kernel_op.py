@@ -2,9 +2,10 @@
 
 Three evaluation routes, cross-checked against each other in the tests:
 
-* quadrature (``p_phi_at``): sample the integrand on an equispaced grid and
-  average, doubling the grid until stable.  Each doubling samples only the
-  new midpoints and averages the two rules.  Valid for any map at r < 1.
+* quadrature (``p_phi_at``): sample the integrand on an equispaced grid,
+  ``_CHUNK`` nodes at a time, and average, doubling the grid until stable.
+  Each doubling samples only the new midpoints and averages the two rules.
+  Valid for any map at r < 1.
 * residue closed form (``p_lambda_closed_form``): for phi = lambda_a the
   integrand is rational in t with one pole at 0 and one at
   r (a - zeta)/(1 - zeta conj(a)) inside the circle, giving
@@ -12,15 +13,18 @@ Three evaluation routes, cross-checked against each other in the tests:
       -a h(0)/(zeta - a) + h(r lambda_a(zeta)) (1 - |a|^2)/|1 - zeta conj(a)|^2,
 
   exact for every r and continuous at r = 1.
-* geometric-moment series (``p_phi_exact_at``): for a polynomial core p,
-  expanding the kernel in powers of conj(p(r t)) turns the integral into
-  sum_k zeta^k T_k(r) with T_k(r) = integral of h(t) conj(p(r t)^k) dm(t),
-  computable exactly from truncated coefficient convolutions.  Cauchy
-  estimates on a circle of radius rho < 1 give |T_k| <= C(rho) s(rho)^k
-  with a certifiable s(rho) < 1, so the truncation error is rigorously
-  bounded and the series remains valid at r = 1 even for maps whose
-  boundary modulus reaches 1 (e.g. z^2).  One stacked certificate bounds
-  s(rho) for every radius of the ladder at once.
+* power-series division (``p_phi_exact_at``): for phi = rot * lambda_c o p
+  with a polynomial core p, Cauchy's formula gives the integral for
+  h = z^m as r^m conj(F_m), where F_m is the m-th Taylor coefficient of
+  F = 1/(1 - conj(zeta) phi) (Cima, Matheson and Ross, *The Cauchy
+  Transform*, AMS 2006).  So the value is exact at every r <= 1, r = 1
+  included, even for maps whose boundary modulus reaches 1 (e.g. z^2):
+  no limit and no truncation is involved.  F = N/D is a quotient of two
+  polynomials in p, and the forward recurrence of power-series division
+  gives its coefficients.  D vanishes only where |phi| = 1, so its roots
+  lie on or outside the circle, and those on it are simple, because a
+  self-map has a nonzero angular derivative wherever it touches the
+  circle; so rounding errors do not grow exponentially.
 
 Maps built from Möbius pieces and polynomials are normalized to the form
 rot * lambda_c o core, which routes every such map to an exact evaluation.
@@ -34,14 +38,13 @@ where the value does not depend on r, as for h = 1, whose value is
 
 ``monomial_limit_evaluator`` gives the radial limits of the monomials at
 many boundary points: one row per point, the closed form's powers from one
-cumprod and the series' sums from one ``einsum``.  No route calls a
-threaded BLAS product, so a run uses one CPU whatever OpenBLAS's thread
-count.
+cumprod and the series' coefficients from one recurrence per point.  No
+route calls a threaded BLAS product, so a run uses one CPU whatever
+OpenBLAS's thread count.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -56,7 +59,7 @@ from .circle import (
     mobius_lambda,
     refine_until_stable,
 )
-from .disk_algebra import DiskAlgebraPoly, certified_sup, monomial, poly_eval
+from .disk_algebra import DiskAlgebraPoly, monomial, poly_eval
 from .self_maps import (
     BlaschkeMap,
     ComposedMap,
@@ -66,9 +69,9 @@ from .self_maps import (
     self_map_eval,
 )
 
-SERIES_TAIL_TOL = 1e-12
-SERIES_ORDER_CAP = 8192
-_RHO_LADDER = (0.9, 0.85, 0.8, 0.7, 0.6, 0.5, 0.35)
+# Quadrature forms the integrand this many nodes at a time, so a large
+# grid's evaluation holds a few arrays of this size, not of the grid's.
+_CHUNK = 4096
 # The radial sweep's radii 1 - 2^-k, k = 4.._SWEEP_K_MAX, and the change
 # between successive radii at which it stops.
 _SWEEP_K_MAX = 24
@@ -113,8 +116,12 @@ def p_phi_at(
     if not 0.0 < r < 1.0:
         raise ValueError("quadrature of the kernel requires 0 < r < 1")
     t = grid.nodes
-    denom = 1.0 - zv * np.conjugate(self_map_eval(phi, r * t))
-    return grid_integrate(grid, poly_eval(h, t) / denom)
+    samples = np.empty_like(t)
+    for lo in range(0, t.size, _CHUNK):
+        part = t[lo : lo + _CHUNK]
+        denom = 1.0 - zv * np.conjugate(self_map_eval(phi, r * part))
+        samples[lo : lo + _CHUNK] = poly_eval(h, part) / denom
+    return grid_integrate(grid, samples)
 
 
 def p_phi_at_stable(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, r: float) -> complex:
@@ -176,85 +183,44 @@ def limit_route(phi: DiskSelfMap) -> str:
     return "closed-form" if nf.core is None else "series"
 
 
-def _series_order(
-    core: np.ndarray, r: float, b_abs: np.ndarray, mob_abs: float
-) -> tuple[int, float] | None:
-    """Truncation order with a certified geometric tail bound.
+def _taylor_values(nf: _ChainForm, count: int, zetas: np.ndarray) -> np.ndarray:
+    """The kernel values at r = 1 of the monomials 1, z, ..., z^(count-1) for
+    a polynomial core p, one row per boundary point.
 
-    Picks rho < 1 with a certified s = sup_{|w| = rho} |core(r w)| < 1 and
-    returns the smallest k with (prefactor) * C(rho) * s^(k+1)/(1-s) below
-    ``SERIES_TAIL_TOL``, where C(rho) = sum_m |b_m| rho^-m dominates the
-    Cauchy coefficient weights.  Returns None when no ladder radius
-    certifies convergence.
+    With w = conj(zeta) rot, row m is conj(F_m), the Taylor coefficient of
+    1/(1 - w lambda_c(p)) = N/D with N = 1 - conj(c) p and
+    D = (1 - w c) + (w - conj(c)) p, or N = 1 and D = 1 - w p with no
+    Möbius layer.  The forward recurrence
+    F_m = (N_m - sum_{j>=1} D_j F_{m-j}) / D_0 gives them exactly up to
+    rounding.  As in ``_closed_form_values``, the scalars go point by
+    point; zero taps of D are skipped.
     """
-    degs = np.arange(core.size)
-    best: tuple[int, float] | None = None
-    prefactor = (1.0 + mob_abs) / (1.0 - mob_abs) if mob_abs > 0 else 1.0
-    # One stacked certificate for the whole ladder: row i holds core(r rho_i w).
-    sups = certified_sup(core * (r * np.array(_RHO_LADDER)[:, None]) ** degs)
-    for rho, s in zip(_RHO_LADDER, sups.tolist()):
-        if s >= 0.999:
-            continue
-        big_c = float(np.sum(b_abs * rho ** (-np.arange(b_abs.size))))
-        if s == 0.0:
-            return 1, rho
-        k = math.ceil(math.log(SERIES_TAIL_TOL * (1.0 - s) / (prefactor * big_c)) / math.log(s))
-        k = max(k, 1)
-        if k <= SERIES_ORDER_CAP and (best is None or k < best[0]):
-            best = (k, rho)
-    return best
-
-
-def _power_moment_table(core_r: np.ndarray, m_cap: int, k_max: int) -> np.ndarray:
-    """Rows k = 0..k_max: coefficients of core_r(z)^k, truncated to degree m_cap."""
-    width = m_cap + 1
-    table = np.zeros((k_max + 1, width), dtype=complex)
-    table[0, 0] = 1.0
-    cur = np.array([1.0 + 0.0j])
-    base = core_r[:width]
-    for k in range(1, k_max + 1):
-        cur = np.convolve(cur, base)[:width]
-        table[k, : cur.size] = cur
-    return table
-
-
-def _series_table(nf: _ChainForm, r: float, b_abs: np.ndarray) -> np.ndarray:
-    """Per map: conj of the rows k = 0..k_max+1 of core(r z)^k, truncated to
-    ``b_abs.size`` coefficients, with k_max certified for weights ``b_abs``."""
-    core = np.asarray(nf.core, dtype=complex)
-    mob_abs = abs(nf.c) if nf.c is not None else 0.0
-    order = _series_order(core, r, b_abs, mob_abs)
-    if order is None:
-        raise NonConvergenceError(
-            "could not certify geometric decay for the moment series"
-        )
-    k_max, _ = order
-    # At r = 1 the core stays as it is: a product with 1.0 can flip a zero's sign.
-    core_r = core if r == 1.0 else core * r ** np.arange(core.size)
-    return np.conjugate(_power_moment_table(core_r, b_abs.size - 1, k_max + 1))
-
-
-def _powers(w: np.ndarray, count: int) -> np.ndarray:
-    """Rows 1, w_i, ..., w_i^(count-1), one per entry of ``w``, from one cumprod."""
-    out = w[:, None].repeat(count, 1)
-    out[:, 0] = 1.0
-    rest = out[:, 1:]
-    np.multiply.accumulate(rest, 1, None, rest)  # cumprod along each row, in place
-    return out
-
-
-def _series_values(nf: _ChainForm, conj_table: np.ndarray, zetas: np.ndarray) -> np.ndarray:
-    """The kernel values of the monomials from a ``_series_table``, one row
-    per boundary point.  ``einsum`` forms the sums over k itself, not
-    through a BLAS product, so no BLAS thread wakes for them."""
-    k_max = conj_table.shape[0] - 2
-    zeta_eff = zetas * np.conjugate(nf.rot)
-    if nf.c is None:
-        return np.einsum("pk,km->pm", _powers(zeta_eff, k_max + 1), conj_table[: k_max + 1])
-    c = nf.c
-    terms = conj_table[: k_max + 1] - c * conj_table[1 : k_max + 2]
-    sums = np.einsum("pk,km->pm", _powers(mobius_lambda(c, zeta_eff), k_max + 1), terms)
-    return sums / (1.0 - zeta_eff * np.conjugate(c))[:, None]
+    core, c, rot = nf.core, nf.c, nf.rot
+    rows = []
+    for zeta in zetas.tolist():
+        w = zeta.conjugate() * rot
+        if c is None:
+            num = [1.0]
+            den = [-w * a for a in core]
+            den[0] += 1.0
+        else:
+            c_bar = c.conjugate()
+            num = [-c_bar * a for a in core]
+            num[0] += 1.0
+            den = [(w - c_bar) * a for a in core]
+            den[0] += 1.0 - w * c
+        d0 = den[0]
+        taps = [(j, d) for j, d in enumerate(den) if j and d]
+        f = []
+        for m in range(count):
+            acc = num[m] if m < len(num) else 0.0
+            for j, d in taps:
+                if j > m:
+                    break
+                acc -= d * f[m - j]
+            f.append(acc / d0)
+        rows.append(f)
+    return np.conjugate(np.array(rows, dtype=complex).reshape(-1, count))
 
 
 def _closed_form_values(nf: _ChainForm, count: int, zetas: np.ndarray) -> np.ndarray:
@@ -290,6 +256,8 @@ def _closed_form_values(nf: _ChainForm, count: int, zetas: np.ndarray) -> np.nda
 def p_phi_exact_at(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, r: float = 1.0) -> complex:
     """Exact kernel value at radius r (including r = 1) for normalizable maps.
 
+    A polynomial core gives sum_m h_m r^m conj(F_m), with F_m the Taylor
+    coefficients of the module docstring's division, exact up to rounding.
     Raises ValueError for maps with no closed-form or series route.
     """
     nf = _normalize(phi)
@@ -301,8 +269,8 @@ def p_phi_exact_at(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, r: float = 1.0) -
     if nf.core is None:
         return p_lambda_closed_form(nf.c, h, zv * np.conjugate(nf.rot), r)
     b = np.asarray(h.coeffs, dtype=complex)
-    # P_phi is linear in h; the truncation order is certified for h's own weights.
-    return complex(b @ _series_values(nf, _series_table(nf, r, np.abs(b)), np.array([zv]))[0])
+    # By Cauchy's formula the integral of conj(t^m) F(r t) is r^m F_m.
+    return complex((b * r ** np.arange(b.size)) @ _taylor_values(nf, b.size, np.array([zv]))[0])
 
 
 def _radial_sweep(phi, h, zeta) -> complex:
@@ -327,8 +295,8 @@ def p_phi_radial_limit(phi: DiskSelfMap, h: DiskAlgebraPoly, zeta) -> complex:
     """The r -> 1 limit of the kernel integral at a boundary point zeta.
 
     Maps in the Möbius orbit use the residue closed form at r = 1;
-    polynomial-core maps use the certified moment series at r = 1 (the
-    limit exists there with a provable geometric tail).  Everything else
+    polynomial-core maps use the Taylor coefficients of the power-series
+    division, which are the values at r = 1 themselves.  Everything else
     is chased by a radial sweep and reported honestly as non-convergent
     when stabilization fails.
     """
@@ -342,10 +310,10 @@ def monomial_limit_evaluator(phi: DiskSelfMap, count: int) -> Callable[[np.ndarr
     as a function of an array of unimodular points that returns one row
     per point.
 
-    What depends on the map alone (the normal form, the series order and
-    the coefficient table) is computed once, here, so many boundary points
-    share it.  The closed-form and series routes evaluate all points in
-    one pass; the sweep goes point by point.
+    The normal form depends on the map alone and is computed once, here,
+    so many boundary points share it.  On the series route row m is
+    conj(F_m), the Taylor coefficient of the module docstring's division,
+    exact up to rounding.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -359,12 +327,12 @@ def monomial_limit_evaluator(phi: DiskSelfMap, count: int) -> Callable[[np.ndarr
         return swept
     if nf.core is None:
         return partial(_closed_form_values, nf, count)
-    b_abs = np.zeros(count)
-    b_abs[-1] = 1.0  # worst Cauchy weight among the monomials
-    return partial(_series_values, nf, _series_table(nf, 1.0, b_abs))
+    return partial(_taylor_values, nf, count)
 
 
 def monomial_radial_limits(phi: DiskSelfMap, count: int, zeta) -> np.ndarray:
     """Radial-limit kernel values for the monomials 1, z, ..., z^(count-1) at zeta."""
     zv = _as_unimodular(zeta)
-    return monomial_limit_evaluator(phi, count)(np.array([zv]))[0]
+    # The row as an array of its own: a caller that keeps it does not keep
+    # the one-row 2-d result behind a view as well.
+    return monomial_limit_evaluator(phi, count)(np.array([zv]))[0].copy()

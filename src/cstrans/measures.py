@@ -11,13 +11,12 @@ measures (the matching lower bound comes from the dual pairing in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circle import TWO_PI, CirclePoint
+from .circle import TWO_PI, CirclePoint, real_from_obj
 
 # Atoms closer than this (angularly, on the circle) are merged at construction.
 ATOM_MERGE_TOL = 1e-12
@@ -116,11 +115,9 @@ def measure_from_obj(obj: Sequence, where: str = "measure") -> AtomicMeasure:
         if not isinstance(atom, dict):
             raise ValueError(f"{where}[{i}]: expected an atom object")
         try:
-            angle = float(atom["angle"])
-            re, im = float(atom.get("re", 0.0)), float(atom.get("im", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+            angle = real_from_obj(atom["angle"])
+            re, im = real_from_obj(atom.get("re", 0.0)), real_from_obj(atom.get("im", 0.0))
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"{where}[{i}]: bad atom fields ({exc})") from exc
-        if not all(map(math.isfinite, (angle, re, im))):
-            raise ValueError(f"{where}[{i}]: atom fields must be finite numbers")
         pairs.append((angle, complex(re, im)))
     return atomic_measure(pairs)

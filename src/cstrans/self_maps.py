@@ -11,12 +11,18 @@ property makes the reconstruction exact up to rounding.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import DiskPoint, disk_grid, mobius_eval, mobius_lambda, require_closed_disk
+from .circle import (
+    DiskPoint,
+    complex_from_obj,
+    disk_grid,
+    mobius_eval,
+    mobius_lambda,
+    require_closed_disk,
+)
 from .disk_algebra import certified_sup, horner
 
 # Construction accepts certificates this far above 1 (pure rounding slop).
@@ -151,23 +157,6 @@ def factorization_residual(
 
 
 # JSON literals, discriminated by "kind".
-
-def complex_from_obj(obj) -> complex:
-    """A finite complex number from a JSON number or ``[re, im]`` pair.
-
-    Raises ValueError for anything else, booleans and strings included.
-    """
-    parts = obj if isinstance(obj, (list, tuple)) and len(obj) == 2 else (obj, 0.0)
-    if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in parts):
-        raise ValueError(f"expected a number or [re, im] pair, got {obj!r}")
-    try:
-        z = complex(float(parts[0]), float(parts[1]))
-    except OverflowError:  # an integer literal beyond the float range
-        z = cmath.inf
-    if not cmath.isfinite(z):
-        raise ValueError(f"expected finite numbers, got {obj!r}")
-    return z
-
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]

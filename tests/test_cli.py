@@ -366,6 +366,15 @@ class TestMalformedFixtures:
         capsys.readouterr()
         assert raised == []
 
+    @pytest.mark.parametrize("command", ["verify-bound", "verify-lemma1", "verify-lemma2", "norm-estimate"])
+    def test_atom_fields_must_be_numbers(self, tmp_path, capsys, command):
+        # float() read true as 1 and "3" as 3.
+        for field in ("angle", "re", "im"):
+            for value in (True, "3"):
+                doc = _replaced(VALID_DOCS[command], ("measures", 0, 0, field), value)
+                assert run(RunConfig(command, fixtures=write_fixture(tmp_path, doc))) == 2, (field, value)
+                assert capsys.readouterr().err.startswith("error: measures[0][0]: "), (field, value)
+
     @pytest.mark.parametrize("value", [2.7, "3", True, None], ids=["float", "string", "bool", "null"])
     def test_degree_cap_must_be_an_integer(self, tmp_path, capsys, value):
         doc = {"cases": [{"a_values": [0.5], "degree_cap": value}]}

@@ -1,10 +1,11 @@
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import certified_sup_oracle, sample_unit_ball
+from conftest import sample_unit_ball
 from cstrans.circle import (
     CirclePoint,
     DiskPoint,
@@ -14,11 +15,9 @@ from cstrans.circle import (
     grid_integrate,
     refine_until_stable,
 )
-from cstrans import kernel_op
-from cstrans.disk_algebra import certified_sup, make_poly
+from cstrans import disk_algebra
+from cstrans.disk_algebra import make_poly
 from cstrans.kernel_op import (
-    SERIES_ORDER_CAP,
-    SERIES_TAIL_TOL,
     limit_route,
     monomial_limit_evaluator,
     monomial_radial_limits,
@@ -252,64 +251,124 @@ class TestMonomialLimits:
             monomial_radial_limits(b, 2, CirclePoint(0.7))
 
 
-def order_one_radius_at_a_time(sups, b_abs, mob_abs):
-    """The series order from ladder sup bounds certified one radius at a time."""
-    best = None
-    prefactor = (1.0 + mob_abs) / (1.0 - mob_abs) if mob_abs > 0 else 1.0
-    for rho, s in zip(kernel_op._RHO_LADDER, sups):
-        if s >= 0.999:
-            continue
-        big_c = float(np.sum(b_abs * rho ** (-np.arange(b_abs.size))))
-        if s == 0.0:
-            return 1, rho
-        k = math.ceil(math.log(SERIES_TAIL_TOL * (1.0 - s) / (prefactor * big_c)) / math.log(s))
-        k = max(k, 1)
-        if k <= SERIES_ORDER_CAP and (best is None or k < best[0]):
-            best = (k, rho)
-    return best
+def _outer_matrix_and_core(phi):
+    """A chain of ``ComposedMap``s over a polynomial as the Möbius map
+    M(u) = (A u + B)/(C u + D), given as ((A, B), (C, D)), of its outer
+    lambda layers, and the polynomial's coefficients, all in mpmath."""
+    (a11, a12), (a21, a22) = (mpmath.mpc(1), mpmath.mpc(0)), (mpmath.mpc(0), mpmath.mpc(1))
+    while isinstance(phi, ComposedMap):
+        a = mpmath.mpc(phi.outer_a.value)
+        # lambda_a(u) = (a - u)/(1 - conj(a) u) is the matrix ((-1, a), (-conj(a), 1)).
+        a11, a12, a21, a22 = (-a11 - a12 * a.conjugate(), a11 * a + a12,
+                              -a21 - a22 * a.conjugate(), a21 * a + a22)
+        phi = phi.inner
+    return ((a11, a12), (a21, a22)), [mpmath.mpc(c) for c in phi.coeffs]
 
 
-class TestBatchedLadder:
-    def test_one_stacked_certificate_matches_the_per_radius_loop(self, monkeypatch):
-        rng = np.random.default_rng(18)
-        cores = []
-        for i in range(500):
-            d = i % 6
-            core = rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1)
-            core *= rng.uniform(0.3, 1.3) / np.sum(np.abs(core))
-            if i % 4 == 0:  # trailing zeros: the width is not the degree
-                core = np.concatenate([core, np.zeros(1 + i % 3)])
-            cores.append(core)
-        cores.append(np.zeros(4, dtype=complex))
-        stacked = []
+def geometric_series_rows(phi, count, zetas):
+    """The kernel values of 1, z, ..., z^(count-1) by the geometric series in
+    powers of the core p, in mpmath at 40 digits.
 
-        def recording(coeffs, *args):
-            out = certified_sup(coeffs, *args)
-            stacked.append((np.array(coeffs), out))
-            return out
+    With w = conj(zeta), 1/(1 - w M(p)) = (C p + D)/(e + f p) for
+    e = D - w B and f = C - w A, so F = (D G + C p G)/e with
+    G = sum_k q^k p^k and q = -f/e, which is unimodular because
+    1 - w M(u) vanishes on the circle.  The powers p^k are truncated to
+    ``count`` coefficients, which decay like k^m |p(0)|^k, and the sum
+    stops once every one of them is below 1e-30.  Row m is conj(F_m).
+    """
+    with mpmath.workdps(40):
+        ((big_a, big_b), (big_c, big_d)), p = _outer_matrix_and_core(phi)
 
-        monkeypatch.setattr(kernel_op, "certified_sup", recording)
-        orders = set()
-        for i, core in enumerate(cores):
-            degs = np.arange(core.size)
-            b_abs = np.ones(9) if i % 2 else np.eye(33)[-1]
-            mob_abs = 0.3 if i % 3 == 0 else 0.0
-            for r in (1.0, 0.999, 0.9, 0.5):
-                singles = [certified_sup(core * (r * rho) ** degs) for rho in kernel_op._RHO_LADDER]
-                stacked.clear()
-                got = kernel_op._series_order(core, r, b_abs, mob_abs)
-                assert len(stacked) == 1
-                rows, bounds = stacked[0]
-                assert rows.shape == (len(kernel_op._RHO_LADDER), core.size)
-                assert bounds.tolist() == singles
-                assert singles == [certified_sup_oracle(row) for row in rows]
-                assert got == order_one_radius_at_a_time(singles, b_abs, mob_abs)
-                orders.add(got is None)
-        assert orders == {True, False}  # both certified and uncertified cores
-        # A ladder's rows share one degree; a stack of all the cores mixes them.
-        width = max(core.size for core in cores)
-        mixed = np.array([np.pad(core, (0, width - core.size)) for core in cores])
-        assert certified_sup(mixed).tolist() == [certified_sup_oracle(row) for row in mixed]
+        def times_p(x):
+            return [mpmath.fsum(p[j] * x[m - j] for j in range(min(m + 1, len(p)))) for m in range(count)]
+
+        powers = [[mpmath.mpc(1)] + [mpmath.mpc(0)] * (count - 1)]
+        while True:
+            nxt = times_p(powers[-1])
+            if max(abs(x) for x in nxt) < 1e-30:
+                break
+            powers.append(nxt)
+            assert len(powers) < 5000
+        rows = []
+        for zeta in zetas.tolist():
+            w = mpmath.mpc(zeta).conjugate()
+            e, f = big_d - w * big_b, big_c - w * big_a
+            q = -f / e
+            g = [mpmath.mpc(0)] * count
+            for row in reversed(powers):
+                g = [q * gm + rm for gm, rm in zip(g, row)]
+            rows.append([complex(((big_d * gm + big_c * pm) / e).conjugate())
+                         for gm, pm in zip(g, times_p(g))])
+        return np.array(rows, dtype=complex).reshape(-1, count)
+
+
+def _unit_sum_core(rng, degree, total):
+    c = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
+    return PolynomialMap(tuple(total * c / np.sum(np.abs(c))))
+
+
+class TestTaylorDivision:
+    _rng = np.random.default_rng(44)
+    _poly = _unit_sum_core(_rng, 3, 0.999)
+    CASES = {
+        # name: (map, count, number of points)
+        "polynomial sup 0.999": (_poly, 65, 3),
+        "(1+z)/2": (PolynomialMap((0.5, 0.5)), 33, 3),
+        "z^2": (PolynomialMap((0.0, 0.0, 1.0)), 65, 4),
+        "z^2 at 64 points": (PolynomialMap((0.0, 0.0, 1.0)), 9, 64),
+        "z^3": (PolynomialMap((0.0, 0.0, 0.0, 1.0)), 65, 4),
+        "lambda_a o z^2": (ComposedMap(DiskPoint(0.3 + 0.4j), PolynomialMap((0.0, 0.0, 1.0))), 33, 8),
+        "identity core": (ComposedMap(DiskPoint(-0.6 + 0.2j), PolynomialMap((0.0, 1.0))), 17, 64),
+        "composed sup 0.999": (ComposedMap(DiskPoint(-0.5j), _poly), 65, 3),
+        "composed twice": (ComposedMap(DiskPoint(0.2 - 0.6j), ComposedMap(DiskPoint(0.4 + 0.1j),
+                                                                           _unit_sum_core(_rng, 2, 0.8))), 33, 4),
+        "count 1": (_unit_sum_core(_rng, 2, 0.9), 1, 5),
+        "random polynomial": (_unit_sum_core(_rng, 1, 0.7), 24, 2),
+        "random composed": (ComposedMap(DiskPoint(0.1 + 0.7j), _unit_sum_core(_rng, 3, 0.95)), 48, 2),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_rows_match_the_geometric_series_at_40_digits(self, name):
+        phi, count, points = self.CASES[name]
+        zetas = np.exp(1j * np.random.default_rng(len(name)).uniform(0, 2 * math.pi, points))
+        got = monomial_limit_evaluator(phi, count)(zetas)
+        want = geometric_series_rows(phi, count, zetas)
+        assert got.shape == (points, count)
+        for row, ref in zip(got, want):
+            assert np.max(np.abs(row - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+    def test_a_constant_core_gives_the_constant_kernel(self):
+        zetas = np.exp(1j * np.array([0.3, 2.0, 4.4]))
+        for phi in (PolynomialMap((0.3 + 0.2j,)), ComposedMap(DiskPoint(0.5j), PolynomialMap((-0.4,)))):
+            rows = monomial_limit_evaluator(phi, 5)(zetas)
+            want = 1.0 / (1.0 - zetas * np.conjugate(phi.at_zero()))
+            assert np.max(np.abs(rows[:, 0] - want)) <= 1e-15
+            assert not rows[:, 1:].any()
+
+    def test_trailing_zero_coefficients_change_nothing(self):
+        zetas = np.exp(1j * np.array([0.1, 1.7, 5.0]))
+        core = (0.1, 0.5 - 0.1j, 0.2)
+        padded = core + (0.0, 0.0)
+        for wrap in (lambda p: p, lambda p: ComposedMap(DiskPoint(0.3 - 0.3j), p)):
+            rows = monomial_limit_evaluator(wrap(PolynomialMap(core)), 12)(zetas)
+            assert np.array_equal(monomial_limit_evaluator(wrap(PolynomialMap(padded)), 12)(zetas), rows)
+
+    def test_no_points_give_no_rows(self):
+        limits = monomial_limit_evaluator(PolynomialMap((0.1, 0.5, 0.2)), 7)
+        assert limits(np.array([], dtype=complex)).shape == (0, 7)
+
+    def test_no_sup_norm_certificate_is_taken(self, monkeypatch):
+        phi = ComposedMap(DiskPoint(0.2), PolynomialMap((0.1, 0.5, 0.2)))
+        h = make_poly([0.5, 0.25j, -0.25])
+        zeta = CirclePoint(1.3)
+        want = monomial_radial_limits(phi, 3, zeta)
+
+        def refuse(*args):
+            raise AssertionError("the series route took a sup-norm certificate")
+
+        monkeypatch.setattr(disk_algebra, "certify_sup_norm", refuse)
+        assert np.array_equal(monomial_radial_limits(phi, 3, zeta), want)
+        assert abs(p_phi_exact_at(phi, h, zeta) - np.dot(h.coeffs, want)) <= 1e-15
 
 
 class TestBatchedEvaluator:
