@@ -93,7 +93,7 @@ def complex_from_obj(obj) -> complex:
 
 def real_from_obj(obj) -> float:
     """A finite real number from a JSON number, by ``complex_from_obj``'s rule."""
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ValueError(f"expected a number, got {obj!r}")
     return complex_from_obj(obj).real
 
@@ -123,9 +123,10 @@ def mobius_eval(a: DiskPoint, z):
     denominator signals corrupted inputs rather than a user error.
     """
     require_closed_disk(z)
-    if np.min(np.abs(1.0 - np.conjugate(a.value) * z)) < 1e-15:
+    denom = 1.0 - np.conjugate(a.value) * z
+    if np.min(np.abs(denom)) < 1e-15:
         raise ArithmeticError("Möbius denominator vanished on the closed disk")
-    return mobius_lambda(a.value, z)
+    return (a.value - z) / denom
 
 
 @dataclass(frozen=True)

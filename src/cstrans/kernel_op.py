@@ -5,7 +5,9 @@ Three evaluation routes, cross-checked against each other in the tests:
 * quadrature (``p_phi_at``): sample the integrand on an equispaced grid,
   ``_CHUNK`` nodes at a time, and average, doubling the grid until stable.
   Each doubling samples only the new midpoints and averages the two rules.
-  Valid for any map at r < 1.
+  Valid for any map at r < 1.  Each call checks r and zeta once; the nodes
+  r t then lie in the disk, so no chunk runs the closed-disk check of
+  ``self_map_eval`` or ``poly_eval`` (Möbius layers keep ``mobius_eval``'s).
 * residue closed form (``p_lambda_closed_form``): for phi = lambda_a the
   integrand is rational in t with one pole at 0 and one at
   r (a - zeta)/(1 - zeta conj(a)) inside the circle, giving
@@ -59,14 +61,13 @@ from .circle import (
     mobius_lambda,
     refine_until_stable,
 )
-from .disk_algebra import DiskAlgebraPoly, monomial, poly_eval
+from .disk_algebra import DiskAlgebraPoly, horner, monomial, poly_eval
 from .self_maps import (
     BlaschkeMap,
     ComposedMap,
     DiskSelfMap,
     MobiusSelfMap,
     PolynomialMap,
-    self_map_eval,
 )
 
 # Quadrature forms the integrand this many nodes at a time, so a large
@@ -119,8 +120,8 @@ def p_phi_at(
     samples = np.empty_like(t)
     for lo in range(0, t.size, _CHUNK):
         part = t[lo : lo + _CHUNK]
-        denom = 1.0 - zv * np.conjugate(self_map_eval(phi, r * part))
-        samples[lo : lo + _CHUNK] = poly_eval(h, part) / denom
+        denom = 1.0 - zv * np.conjugate(phi.eval_inner(r * part))
+        samples[lo : lo + _CHUNK] = horner(h.coeffs, part) / denom
     return grid_integrate(grid, samples)
 
 

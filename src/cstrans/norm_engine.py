@@ -41,6 +41,7 @@ from .disk_algebra import (
     SEARCH_DEGREE_CAP,
     DiskAlgebraPoly,
     certified_sup,
+    circle_samples,
     default_sample_count,
     poly_to_obj,
 )
@@ -213,7 +214,7 @@ def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
                 if decrement <= 2.0 * _NEWTON_TOL:
                     break
                 step = p.view(complex)
-                dh = np.fft.ifft(step, n, norm="forward")
+                dh = circle_samples(step, n)
                 quad = (dh * np.conjugate(dh)).real  # A
                 cross = (np.conjugate(h) * dh).real  # B
                 room = (1.0 - _SLACK_KEPT) * s
@@ -388,15 +389,15 @@ def composition_moments(mu: AtomicMeasure, phi: DiskSelfMap, count: int) -> np.n
 
     These are the pairing coefficients of f o phi against monomials, so
     |sum_m conj(b_m) g_m| = |<f o phi, h>| for h with coefficients b.
-    One evaluator call gives the rows of all atoms; the weighted rows are
-    then added in atom order.
+    One evaluator call gives the rows of all atoms; conj(c_j) row_j are
+    added in atom order, and the sum is conjugated once, which is exact.
     """
     limits = monomial_limit_evaluator(phi, count)
-    rows = np.conjugate(limits(np.array([pos.value for pos, _ in mu.atoms])))
+    rows = limits(np.array([pos.value for pos, _ in mu.atoms]))
     g = np.zeros(count, dtype=complex)
     for (_, w), row in zip(mu.atoms, rows):  # in atom order
-        g += w * row
-    return g
+        g += w.conjugate() * row
+    return np.conjugate(g, out=g)
 
 
 def composition_knorm_lower(

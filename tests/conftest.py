@@ -1,6 +1,7 @@
 import math
 
 import hypothesis
+import mpmath
 import numpy as np
 
 from cstrans.circle import TWO_PI, circle_angles
@@ -44,20 +45,24 @@ def sample_unit_ball(degree: int, seed: int) -> DiskAlgebraPoly:
     return DiskAlgebraPoly(tuple(scaled), cert)
 
 
-def sampled_bound_oracle(row, sample_count: int) -> float:
-    """The sampled peak of one coefficient row divided by
-    sqrt(1 - (d pi/N)^2 / 2), with d read off its last nonzero coefficient."""
-    nonzero = np.flatnonzero(row)
-    d = int(nonzero[-1]) if nonzero.size else 0
-    peak = float(np.max(np.abs(horner(row, np.exp(1j * circle_angles(sample_count))))))
-    return peak / math.sqrt(1.0 - 0.5 * (d * math.pi / sample_count) ** 2)
+def sampled_peak_40(row, sample_count: int) -> mpmath.mpf:
+    """max_k |h(t_k)| over t_k = exp(2 pi i k/N), in mpmath at 40 digits.
 
-
-def certified_sup_oracle(row) -> float:
-    """The smaller of the sampled bound at max(256, 64 d) samples and sum |c_k|."""
-    nonzero = np.flatnonzero(row)
-    d = int(nonzero[-1]) if nonzero.size else 0
-    return min(sampled_bound_oracle(row, max(256, 64 * d)), float(np.sum(np.abs(row))))
+    A float Horner pass picks the candidate nodes: every node whose float
+    modulus is within 1e-11 sum |c_k| of the float peak, a margin far above
+    the float pass's rounding.  Only those are evaluated at 40 digits.
+    """
+    row = np.asarray(row, dtype=complex)
+    if not row.any():
+        return mpmath.mpf(0)
+    approx = np.abs(horner(row, np.exp(1j * circle_angles(sample_count))))
+    candidates = np.flatnonzero(approx >= approx.max() - 1e-11 * np.abs(row).sum())
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpc(c) for c in row[::-1]]  # exact conversions
+        return max(
+            abs(mpmath.polyval(coeffs, mpmath.expjpi(mpmath.mpf(2 * int(k)) / sample_count)))
+            for k in candidates
+        )
 
 
 def pairing(mu: AtomicMeasure, h: DiskAlgebraPoly) -> complex:

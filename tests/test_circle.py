@@ -14,6 +14,7 @@ from cstrans.circle import (
     circle_angles,
     grid_integrate,
     mobius_eval,
+    mobius_lambda,
     refine_until_stable,
 )
 
@@ -102,8 +103,27 @@ class TestMobius:
         assert abs(mobius_compose_self(mob(a), z) - z) <= 1e-12
 
     def test_rejects_outside_closed_disk(self):
-        with pytest.raises(ValueError):
-            mobius_eval(mob(0.5), 1.5)
+        for z in (1.5, 1.0 + 2e-12, np.array([0.0, -1j * (1.0 + 2e-12)])):
+            with pytest.raises(ValueError):
+                mobius_eval(mob(0.5), z)
+        mobius_eval(mob(0.5), 1.0 + 5e-13)
+
+    def test_vanishing_denominator_is_an_arithmetic_error(self):
+        # |a| < 1 and |z| <= 1 + 1e-12, but conj(a) z rounds to 1.
+        a = mob(1.0 - 1.5e-15)
+        z = 1.0 / a.value
+        assert abs(1.0 - a.value * z) < 1e-15
+        for arg in (z, np.array([0.0, z])):
+            with pytest.raises(ArithmeticError, match="denominator"):
+                mobius_eval(a, arg)
+
+    def test_agrees_with_the_unchecked_map_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            a = mob(0.99 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
+            z = rng.uniform(0, 1, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
+            assert np.array_equal(mobius_eval(a, z), mobius_lambda(a.value, z))
+            assert mobius_eval(a, z[0]) == mobius_lambda(a.value, z[0])
 
 
 class TestQuadrature:

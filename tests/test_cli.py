@@ -368,12 +368,23 @@ class TestMalformedFixtures:
 
     @pytest.mark.parametrize("command", ["verify-bound", "verify-lemma1", "verify-lemma2", "norm-estimate"])
     def test_atom_fields_must_be_numbers(self, tmp_path, capsys, command):
-        # float() read true as 1 and "3" as 3.
+        # float() read true as 1 and "3" as 3.  A real field names no pair.
         for field in ("angle", "re", "im"):
             for value in (True, "3"):
                 doc = _replaced(VALID_DOCS[command], ("measures", 0, 0, field), value)
                 assert run(RunConfig(command, fixtures=write_fixture(tmp_path, doc))) == 2, (field, value)
-                assert capsys.readouterr().err.startswith("error: measures[0][0]: "), (field, value)
+                err = capsys.readouterr().err
+                assert err.startswith("error: measures[0][0]: "), (field, value)
+                assert f"expected a number, got {value!r}" in err and "pair" not in err, (field, value)
+
+    @pytest.mark.parametrize("field", ["zeta_angle", "r"])
+    def test_real_case_fields_must_be_numbers(self, tmp_path, capsys, field):
+        for value in (True, "3", None, [0.5, 0.0]):
+            case = {"a": [0.5, 0.0], "h": [[1.0, 0.0]], "zeta_angle": 1.0, "r": 0.9, field: value}
+            doc = {"cases": [case]}
+            assert run(RunConfig("kernel-compare", fixtures=write_fixture(tmp_path, doc))) == 2, value
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cases[0].{field}: expected a number, got {value!r}"), value
 
     @pytest.mark.parametrize("value", [2.7, "3", True, None], ids=["float", "string", "bool", "null"])
     def test_degree_cap_must_be_an_integer(self, tmp_path, capsys, value):

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import certified_sup_oracle, sampled_bound_oracle, sample_unit_ball
+from conftest import sample_unit_ball, sampled_peak_40
 from cstrans import disk_algebra
 from cstrans.disk_algebra import (
     DiskAlgebraPoly,
@@ -51,6 +52,10 @@ class TestEval:
     def test_outside_disk_rejected(self):
         with pytest.raises(ValueError):
             poly_eval([1.0, 1.0], 1.1)
+        for z in (1.0 + 2e-12, np.array([0.0, -1j * (1.0 + 2e-12)])):
+            with pytest.raises(ValueError, match="closed unit disk"):
+                poly_eval(make_poly([1.0, 1.0]), z)
+        poly_eval([1.0, 1.0], 1.0 + 5e-13)
 
 
 class TestCertification:
@@ -111,8 +116,26 @@ class TestCertification:
         assert certify_sup_norm([2.0, 0.0, 0.0], 256) == pytest.approx(2.0)
 
 
+EPS = 2.0**-52
+
+
+def assert_matches_the_40_digit_bound(row, sample_count: int) -> None:
+    """The certificate is the 40-digit sampled peak over sqrt(1 - (d pi/N)^2 / 2)
+    within a relative 1e-14, and is sound: at least that bound less 8 units
+    of rounding in sum |c_k|, times the same factor."""
+    cert = certify_sup_norm(row, sample_count)
+    with mpmath.workdps(40):
+        factor = 1 / mpmath.sqrt(1 - (poly_degree(row) * mpmath.pi / sample_count) ** 2 / 2)
+        want = sampled_peak_40(row, sample_count) * factor
+    if want == 0:
+        assert cert == 0.0
+        return
+    assert abs(cert - want) <= 1e-14 * want, (poly_degree(row), sample_count)
+    assert cert >= want - 8 * EPS * float(np.abs(row).sum()) * factor, (poly_degree(row), sample_count)
+
+
 class TestCoefficientArrays:
-    def test_each_row_matches_the_reference_bit_for_bit(self):
+    def test_each_row_matches_the_40_digit_sampled_peak(self):
         # Rows of mixed degree (and so of mixed default sample counts), with
         # zero rows and trailing zeros.
         rng = np.random.default_rng(5)
@@ -120,8 +143,52 @@ class TestCoefficientArrays:
             row = np.zeros(13, dtype=complex)
             d = int(rng.integers(-1, row.size))  # -1: a zero row
             row[: d + 1] = rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1)
-            assert certified_sup(row) == certified_sup_oracle(row)
-            assert certify_sup_norm(row, 1024) == sampled_bound_oracle(row, 1024)
+            assert_matches_the_40_digit_bound(row, 1024)
+            n = default_sample_count(poly_degree(row))
+            assert certified_sup(row) == min(certify_sup_norm(row, n), float(np.abs(row).sum()))
+
+    @pytest.mark.parametrize(
+        "d, n",
+        [(12, 41), (12, 1031), (5, 320), (12, 768), (12, 38), (318, 1000)],
+        ids=["prime-41", "prime-1031", "64d-320", "64d-768", "d-below-n/pi-38", "d-below-n/pi-1000"],
+    )
+    def test_awkward_sample_counts(self, d, n):
+        # Prime and non-power-of-two FFT lengths, and degrees just below N/pi.
+        assert math.pi * d < n
+        rng = np.random.default_rng(d * n)
+        row = rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1)
+        assert_matches_the_40_digit_bound(row, n)
+
+    def test_trailing_zeros_beyond_the_sample_count(self):
+        rng = np.random.default_rng(6)
+        row = np.zeros(100, dtype=complex)
+        row[:6] = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
+        assert_matches_the_40_digit_bound(row, 17)
+        assert certify_sup_norm(row, 17) == certify_sup_norm(row[:6], 17)
+
+    def test_samples_are_the_values_at_the_nodes(self):
+        # Sample k is h(exp(2 pi i k/N)), not its conjugate node's value
+        # and not scaled by 1/N.
+        rng = np.random.default_rng(7)
+        for d, n in ((6, 16), (6, 23), (1, 4)):
+            coeffs = rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1)
+            got = disk_algebra.circle_samples(coeffs, n)
+            assert got.shape == (n,)
+            with mpmath.workdps(40):
+                poly = [mpmath.mpc(c) for c in coeffs[::-1]]
+                want = [mpmath.polyval(poly, mpmath.expjpi(mpmath.mpf(2 * k) / n)) for k in range(n)]
+            scale = float(np.abs(coeffs).sum())
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 4 * EPS * scale
+
+    def test_no_horner_pass_is_taken(self, monkeypatch):
+        row = np.array([0.5, 0.25j, -0.25, 0.0])
+        want = (certify_sup_norm(row, 64), certified_sup(row), make_poly(row).certified_sup)
+
+        def refuse(*args):
+            raise AssertionError("a sup-norm certificate took a Horner pass")
+
+        monkeypatch.setattr(disk_algebra, "horner", refuse)
+        assert (certify_sup_norm(row, 64), certified_sup(row), make_poly(row).certified_sup) == want
 
     def test_empty_input_is_rejected(self):
         for empty in ([], np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0))):

@@ -15,8 +15,8 @@ from cstrans.circle import (
     grid_integrate,
     refine_until_stable,
 )
-from cstrans import disk_algebra
-from cstrans.disk_algebra import make_poly
+from cstrans import disk_algebra, kernel_op, self_maps
+from cstrans.disk_algebra import make_poly, poly_eval
 from cstrans.kernel_op import (
     limit_route,
     monomial_limit_evaluator,
@@ -39,6 +39,14 @@ from cstrans.self_maps import (
 ONE = CirclePoint(0.0)
 MINUS_ONE = CirclePoint(math.pi)
 
+QUADRATURE_MAPS = {
+    "mobius": MobiusSelfMap(DiskPoint(0.3 - 0.4j)),
+    "blaschke-one-zero": BlaschkeMap((DiskPoint(0.3),), 1j),
+    "blaschke-two-zeros": BlaschkeMap((DiskPoint(0.3), DiskPoint(-0.4j)), 1j),
+    "polynomial": PolynomialMap((0.25, 0.0, 0.5)),
+    "composed": ComposedMap(DiskPoint(0.2 + 0.1j), PolynomialMap((0.1, 0.5, 0.0, 0.3j))),
+}
+
 
 def mobius(a) -> MobiusSelfMap:
     return MobiusSelfMap(DiskPoint(a))
@@ -47,6 +55,18 @@ def mobius(a) -> MobiusSelfMap:
 def random_poly(rng, max_degree=16):
     d = int(rng.integers(0, max_degree + 1))
     return make_poly(rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1))
+
+
+def checked_p_phi_at(phi, h, zeta, r, grid):
+    """``p_phi_at`` through the checked ``self_map_eval`` and ``poly_eval``,
+    which run a closed-disk check on every chunk."""
+    t = grid.nodes
+    samples = np.empty_like(t)
+    for lo in range(0, t.size, kernel_op._CHUNK):
+        part = t[lo : lo + kernel_op._CHUNK]
+        denom = 1.0 - zeta.value * np.conjugate(self_map_eval(phi, r * part))
+        samples[lo : lo + kernel_op._CHUNK] = poly_eval(h, part) / denom
+    return grid_integrate(grid, samples)
 
 
 def series_oracle(phi, h, zeta, r, grid_n=4096, tol=1e-13):
@@ -118,8 +138,49 @@ class TestQuadrature:
             assert abs(closed - quad) <= 1e-10 * max(1.0, abs(closed))
 
     def test_requires_r_inside(self):
-        with pytest.raises(ValueError):
-            p_phi_at(mobius(0.1), make_poly([1.0]), ONE, 1.0, QuadratureGrid(64))
+        for r in (0.0, -0.5, 1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="0 < r < 1"):
+                p_phi_at(mobius(0.1), make_poly([1.0]), ONE, r, QuadratureGrid(64))
+        for zeta in (1.1, 0.5j, 0.0):
+            with pytest.raises(ValueError, match="unit circle"):
+                p_phi_at(mobius(0.1), make_poly([1.0]), zeta, 0.5, QuadratureGrid(64))
+
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_MAPS))
+    def test_values_equal_the_checked_formulation_bit_for_bit(self, name):
+        phi = QUADRATURE_MAPS[name]
+        h = make_poly(np.random.default_rng(24).uniform(-1, 1, 7) + 0.5j)
+        zeta = CirclePoint(2.1)
+        for r in (0.5, 0.9, 0.999):
+            for n in (512, 5000, 1 << 16):
+                for midpoints in (False, True):
+                    grid = QuadratureGrid(n, midpoints)
+                    assert p_phi_at(phi, h, zeta, r, grid) == checked_p_phi_at(phi, h, zeta, r, grid)
+
+    def test_chunks_take_no_closed_disk_pass(self, monkeypatch):
+        phi, h = QUADRATURE_MAPS["polynomial"], make_poly([0.5, 0.25j])
+        want = p_phi_at(phi, h, ONE, 0.9, QuadratureGrid(512))
+
+        def refuse(z):
+            raise AssertionError("the quadrature checked the closed disk")
+
+        monkeypatch.setattr(disk_algebra, "require_closed_disk", refuse)
+        monkeypatch.setattr(self_maps, "require_closed_disk", refuse)
+        assert p_phi_at(phi, h, ONE, 0.9, QuadratureGrid(512)) == want
+
+    def test_every_refinement_grid_is_unimodular(self):
+        # So r t lies in the disk for 0 < r < 1, which p_phi_at relies on.
+        grids = []
+
+        def never_stable(grid):
+            grids.append(grid)
+            return float(len(grids) % 2)
+
+        with pytest.raises(NonConvergenceError):
+            refine_until_stable(never_stable)
+        want = [(512, False)] + [(512 << k, True) for k in range(7)]
+        assert [(g.node_count, g.midpoints) for g in grids] == want
+        for grid in grids:
+            assert np.max(np.abs(np.abs(grid.nodes) - 1.0)) <= 4e-16
 
     def test_nested_refinement_matches_the_single_grid_rule(self):
         # The averaged midpoint rules equal one trapezoid rule on the final grid.

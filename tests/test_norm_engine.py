@@ -529,7 +529,7 @@ class TestCompositionConsistency:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_moments_equal_the_per_atom_sum(self):
-        # one series table per map serves every atom, bit for bit
+        # one evaluator call serves every atom, bit for bit
         mu = atomic_measure([(0.3, 1.0), (1.9, -0.5j), (4.0, 0.25 + 0.25j)])
         maps = (
             PolynomialMap((0.0, 0.0, 0.0, 1.0)),

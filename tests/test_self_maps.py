@@ -39,6 +39,12 @@ class TestEval:
     def test_rejects_outside_disk(self):
         with pytest.raises(ValueError):
             self_map_eval(PolynomialMap((0.0, 1.0)), 1.5)
+        # The closed-disk check allows 1e-12 of rounding, for every kind.
+        for phi in FIXTURE_MAPS + [ComposedMap(DiskPoint(0.2), PolynomialMap((0.0, 0.5)))]:
+            for z in (1.0 + 2e-12, np.array([0.0, 1j * (1.0 + 2e-12)])):
+                with pytest.raises(ValueError, match="closed unit disk"):
+                    self_map_eval(phi, z)
+            self_map_eval(phi, 1.0 + 5e-13)
 
     def test_polynomial_construction_rejects_non_self_maps(self):
         with pytest.raises(ValueError):
