@@ -27,7 +27,12 @@ test proves the best monomial optimal.  The barrier starts a hundred times
 further along its path than the plain n / ||g||, caps each step so that
 every grid node keeps half of its slack, line-searches in closed form
 without a transform, and takes the gradient and Hessian of each step from
-one FFT call.  It is deterministic and has no tuning knobs.
+one FFT call.  Its rounds that cannot meet the stop test only warm-start
+the next, so they run on a grid eight times coarser; the round that can
+stop runs on the full grid.  The solved witness is certified on a grid
+four times finer than that, where the certificate's factor for the
+overshoot between nodes is at most 1 + 9.4e-6.  The solve is
+deterministic and has no tuning knobs.
 """
 
 from __future__ import annotations
@@ -107,15 +112,102 @@ def _tight_value(b: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarray]:
     """The certified value |<b, g>| / cert(b) and the witness b / cert(b),
     whose certificate is then 1; (0, b) when b = 0.
 
-    cert(b) samples h_b on the grid that ``_barrier`` constrains, 2 *
-    ``default_sample_count`` nodes, where the second-order certificate
-    over-estimates by a factor of at most 1/sqrt(1 - (pi/128)^2 / 2), about
-    1 + 1.5e-4, well inside the solve's own ``_DUAL_GAP``.
+    cert(b) samples h_b on 8 * ``default_sample_count`` nodes, four times
+    the grid that ``_barrier`` finishes on, where the second-order
+    certificate over-estimates by a factor of at most 1/sqrt(1 - (pi/512)^2
+    / 2), about 1 + 9.4e-6; the overshoot of |h_b| between the solve's
+    nodes is charged only as far as this finer grid samples it.
     """
-    cert = certified_sup(b, 2 * default_sample_count(b.size - 1))
+    cert = certified_sup(b, 8 * default_sample_count(b.size - 1))
     if cert == 0.0:
         return 0.0, b
     return float(abs(np.vdot(b, g)) / cert), b / cert
+
+
+def _inside(b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """b and h_b on the n-node grid, both scaled down to a peak of 1 -
+    ``_DUAL_GAP`` there if they peak higher, so that every node keeps a
+    slack of at least about 2 ``_DUAL_GAP``."""
+    h = circle_samples(b, n)
+    peak = float(np.abs(h).max())
+    if peak > 1.0 - _DUAL_GAP:
+        shrink = (1.0 - _DUAL_GAP) / peak
+        b, h = shrink * b, shrink * h
+    return b, h
+
+
+def _centre(
+    g: np.ndarray, b: np.ndarray, h: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray, bool | None]:
+    """Newton's method for the minimiser of F_t on the grid of h's nodes,
+    from b, strictly feasible there, with h = h_b on that grid.
+
+    Returns (b, h, centred): centred is True when the Newton decrement fell
+    to ``_NEWTON_TOL``, False when the steps ran out first, and None when a
+    step failed, which leaves the last iterate.
+    """
+    w, n = b.size, h.size
+    # The real unknowns are b.view(float), Re b_m then Im b_m for each m.  The
+    # Hessian is read from the float view of the transformed rows, laid out
+    # the same way: row 1 (q/2) at the Toeplitz lags i - j mod n, row 2
+    # (q h^2/2) at the Hankel lags i + j < n.  Re-Re and Im-Im entries read
+    # real parts, mixed entries imaginary parts; T's Re-row Im-column and
+    # H's Im-Im entries are negated, and all are doubled.
+    m = np.arange(2 * w) // 2
+    imag = np.arange(2 * w) % 2 == 1
+    part = imag[:, None] ^ imag[None, :]
+    toeplitz = 2 * n + 2 * ((m[:, None] - m[None, :]) % n) + part
+    hankel = 4 * n + 2 * (m[:, None] + m[None, :]) + part
+    toeplitz_scale = 2.0 - 4.0 * (~imag[:, None] & imag[None, :])
+    hankel_scale = 2.0 - 4.0 * (imag[:, None] & imag[None, :])
+    gf = g.view(float)
+    rows = np.zeros((3, n), dtype=complex)  # h/s, 1/s^2 and (h/s)^2
+    s = 1.0 - (h * np.conjugate(h)).real  # the slack 1 - |h|^2
+    logsum = float(np.log(s).sum())
+    for _ in range(_NEWTON_STEPS):
+        inv = 1.0 / s
+        np.multiply(h, inv, out=rows[0])
+        np.multiply(inv, inv, out=rows[1].real)
+        np.multiply(rows[0], rows[0], out=rows[2])
+        spectra = np.fft.fft(rows)
+        flat = spectra.view(float).ravel()
+        hess = flat[toeplitz] * toeplitz_scale + flat[hankel] * hankel_scale
+        r = 2.0 * flat[: 2 * w] - t * gf  # the gradient 2 fft(h/s)[m] - t g_m
+        try:
+            p = np.linalg.solve(hess, -r)
+        except np.linalg.LinAlgError:
+            return b, h, None
+        decrement = -float(r @ p)  # squared Newton decrement
+        if not np.isfinite(decrement):
+            return b, h, None
+        if decrement <= 2.0 * _NEWTON_TOL:
+            return b, h, True
+        step = p.view(complex)
+        dh = circle_samples(step, n)
+        quad = (dh * np.conjugate(dh)).real  # A
+        cross = (np.conjugate(h) * dh).real  # B
+        room = (1.0 - _SLACK_KEPT) * s
+        cap = room / (cross + np.sqrt(cross * cross + quad * room))
+        tau = min(1.0, float(cap.min()))
+        lin = float(np.vdot(b, g).real)
+        gain = float(np.vdot(step, g).real)
+        value = -t * lin - logsum
+        slope = 0.25 * decrement  # Armijo: F falls by tau * slope
+        while True:
+            trial_s = s - (2.0 * tau) * cross - (tau * tau) * quad
+            if trial_s.min() > 0.0:
+                trial_log = float(np.log(trial_s).sum())
+                if -t * (lin + tau * gain) - trial_log <= value - tau * slope:
+                    break
+            tau *= 0.5
+            if tau < _MIN_STEP:
+                return b, h, None
+        next_h = h + tau * dh
+        next_s = 1.0 - (next_h * np.conjugate(next_h)).real
+        if not next_s.min() > 0.0:
+            return b, h, None
+        b, h, s, logsum = b + tau * step, next_h, next_s, trial_log
+    return b, h, False
 
 
 def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
@@ -134,11 +226,19 @@ def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
     within n/t of the grid optimum (one dual variable per node), so after a
     round that centres (its Newton decrement falls to ``_NEWTON_TOL``) the
     solve stops once 2n/t <= ``_DUAL_GAP`` Re <b, g>, the factor 2 leaving
-    room for the approximate centring; after a round that uses up its
-    Newton steps, 2n/t bounds no gap, and the test is only a stopping rule.
-    The grid is twice the certificate's default because |h_b| overshoots
-    between nodes: ``_tight_value`` certifies b on this same grid, where its
-    second-order bound charges at most a relative 1.5e-4 for the overshoot.
+    room for the approximate centring.  A round that uses up its Newton
+    steps bounds no gap: t stays, and the next round centres again.
+
+    Every b with |h_b| <= 1 on more than d nodes has ||b||_2 <= 1, so Re
+    <b, g> <= ||g||_2, and a round with 2n/t > ``_DUAL_GAP`` ||g||_2 cannot
+    stop the solve: it only warm-starts the next.  Such rounds run on a
+    coarse grid of n/8 nodes (at least 4(d+1), so that no Hessian lag
+    aliases), with t scaled to t n_c / n, which keeps each node's share of
+    the barrier.  The first round that can stop switches to the n-node
+    grid, where h_b is sampled afresh and b is scaled to a peak of 1 -
+    ``_DUAL_GAP`` if its peak there is 1 or more.  The grid is twice the
+    certificate's default because |h_b| overshoots between nodes;
+    ``_tight_value`` certifies b on a grid four times finer still.
 
     Every product is an FFT and Z = [t_k^m] is never formed.  h_b = n
     ifft(b); with q = 2/s^2 the gradient is 2 fft(h/s)[m] - t g_m and the
@@ -161,86 +261,40 @@ def _barrier(g: np.ndarray, degree_cap: int) -> np.ndarray:
     share of its slack (the fraction-to-the-boundary rule of Wächter and
     Biegler, *Math. Program.* 106, 2006); Armijo backtracking halves it
     from there.  An accepted step updates b and h once, and s is recomputed
-    from h.  Each iterate is strictly feasible on the grid: a trial whose
-    slack is not finite and positive is never taken, and a singular or
-    non-finite solve, a recomputed slack that is not finite and positive or
-    a failed line search returns the last iterate.  Both the rounds and the
-    Newton steps per round are bounded.
+    from h.  Each iterate is strictly feasible on its round's grid: a trial
+    whose slack is not finite and positive is never taken, and a singular
+    or non-finite solve, a recomputed slack that is not finite and positive
+    or a failed line search ends the solve with the last iterate, scaled as
+    at the switch if it ends on the coarse grid, so the returned b is
+    strictly feasible on the n-node grid.  Both the rounds and the Newton
+    steps per round are bounded.
     """
-    w = g.size
-    b = np.zeros(w, dtype=complex)
+    b = np.zeros(g.size, dtype=complex)
     scale = float(np.abs(g).max())
     if not 0.0 < scale < np.inf:
         return b
     g = g / scale
     n = 2 * default_sample_count(degree_cap)
-    # The real unknowns are b.view(float), Re b_m then Im b_m for each m.  The
-    # Hessian is read from the float view of the transformed rows, laid out
-    # the same way: row 1 (q/2) at the Toeplitz lags i - j mod n, row 2
-    # (q h^2/2) at the Hankel lags i + j < n.  Re-Re and Im-Im entries read
-    # real parts, mixed entries imaginary parts; T's Re-row Im-column and
-    # H's Im-Im entries are negated, and all are doubled.
-    m = np.arange(2 * w) // 2
-    imag = np.arange(2 * w) % 2 == 1
-    part = imag[:, None] ^ imag[None, :]
-    toeplitz = 2 * n + 2 * ((m[:, None] - m[None, :]) % n) + part
-    hankel = 4 * n + 2 * (m[:, None] + m[None, :]) + part
-    toeplitz_scale = 2.0 - 4.0 * (~imag[:, None] & imag[None, :])
-    hankel_scale = 2.0 - 4.0 * (imag[:, None] & imag[None, :])
-    gf = g.view(float)
-    rows = np.zeros((3, n), dtype=complex)  # h/s, 1/s^2 and (h/s)^2
-    h = np.zeros(n, dtype=complex)  # h_b on the grid
-    s = np.ones(n)  # its slack 1 - |h|^2
-    logsum = 0.0  # sum log s
-    t = _BARRIER_START * n / float(np.linalg.norm(g))  # at least 100 n / sqrt(d + 1)
+    norm = float(np.linalg.norm(g))
+    grid = max(n // 8, 4 * g.size)
+    h = np.zeros(grid, dtype=complex)  # h_b on the round's grid
+    t = _BARRIER_START * n / norm  # at least 100 n / sqrt(d + 1)
     with np.errstate(all="ignore"):
         for _ in range(_BARRIER_ROUNDS):
-            for _ in range(_NEWTON_STEPS):
-                inv = 1.0 / s
-                np.multiply(h, inv, out=rows[0])
-                np.multiply(inv, inv, out=rows[1].real)
-                np.multiply(rows[0], rows[0], out=rows[2])
-                spectra = np.fft.fft(rows)
-                flat = spectra.view(float).ravel()
-                hess = flat[toeplitz] * toeplitz_scale + flat[hankel] * hankel_scale
-                r = 2.0 * flat[: 2 * w] - t * gf  # the gradient 2 fft(h/s)[m] - t g_m
-                try:
-                    p = np.linalg.solve(hess, -r)
-                except np.linalg.LinAlgError:
-                    return b
-                decrement = -float(r @ p)  # squared Newton decrement
-                if not np.isfinite(decrement):
-                    return b
-                if decrement <= 2.0 * _NEWTON_TOL:
-                    break
-                step = p.view(complex)
-                dh = circle_samples(step, n)
-                quad = (dh * np.conjugate(dh)).real  # A
-                cross = (np.conjugate(h) * dh).real  # B
-                room = (1.0 - _SLACK_KEPT) * s
-                cap = room / (cross + np.sqrt(cross * cross + quad * room))
-                tau = min(1.0, float(cap.min()))
-                lin = float(np.vdot(b, g).real)
-                gain = float(np.vdot(step, g).real)
-                value = -t * lin - logsum
-                slope = 0.25 * decrement  # Armijo: F falls by tau * slope
-                while True:
-                    trial_s = s - (2.0 * tau) * cross - (tau * tau) * quad
-                    if trial_s.min() > 0.0:
-                        trial_log = float(np.log(trial_s).sum())
-                        if -t * (lin + tau * gain) - trial_log <= value - tau * slope:
-                            break
-                    tau *= 0.5
-                    if tau < _MIN_STEP:
-                        return b
-                next_h = h + tau * dh
-                next_s = 1.0 - (next_h * np.conjugate(next_h)).real
-                if not next_s.min() > 0.0:
-                    return b
-                b, h, s, logsum = b + tau * step, next_h, next_s, trial_log
-            if 2.0 * n <= _DUAL_GAP * t * float(np.vdot(b, g).real):
+            final = 2.0 * n <= _DUAL_GAP * t * norm  # this round can stop the solve
+            if final and grid < n:
+                grid = n
+                b, h = _inside(b, n)
+            b, h, centred = _centre(g, b, h, t * grid / n)
+            if centred is None:
+                break
+            if not centred:
+                continue
+            if final and 2.0 * n <= _DUAL_GAP * t * float(np.vdot(b, g).real):
                 break
             t *= _BARRIER_STEP
+        if grid < n:
+            b, _ = _inside(b, n)
     return b
 
 
@@ -296,10 +350,12 @@ def _dual_search(g: np.ndarray, degree_cap: int) -> tuple[float, np.ndarray]:
 
     Candidates: every monomial (whose certificate is exactly 1 via the
     coefficient-sum bound, so it is never sampled) and the convex solve of
-    ``_barrier``, a log-barrier Newton method on a grid of 2 *
-    ``default_sample_count`` nodes that stops once its duality bound 2n/t
-    is within ``_DUAL_GAP`` of the value reached; its b is certified once,
-    on that same grid.  Deterministic; ties keep the earlier candidate.
+    ``_barrier``, a log-barrier Newton method whose warm-up rounds run on
+    n/8 nodes and whose last round runs on n = 2 * ``default_sample_count``
+    nodes, stopped once its duality bound 2n/t is within ``_DUAL_GAP`` of
+    the value reached; its b is certified once, on 4n nodes, at a cost of
+    at most a relative 9.4e-6.  Deterministic; ties keep the earlier
+    candidate.
 
     The solve is skipped when ``_monomial_is_optimal`` proves, by a
     Carathéodory–Toeplitz test on g, that some measure with moments g has

@@ -11,6 +11,7 @@ from conftest import (
     pairing,
     reference_barrier,
     sample_unit_ball,
+    single_grid_value,
 )
 from cstrans import disk_algebra, norm_engine
 from cstrans.cli import COMMANDS, RunConfig, run
@@ -237,8 +238,9 @@ class TestLowerBounds:
         assert np.array_equal(b, [1.0, 0.0, 0.0, 0.0])
 
     def test_search_certifies_its_witness_once(self, monkeypatch):
-        # The solved witness is sampled once, on the solve's own grid, and a
-        # monomial's coefficient-sum certificate of 1 is never sampled.
+        # The solved witness is sampled once, on a grid four times finer than
+        # the solve's last, and a monomial's coefficient-sum certificate of 1
+        # is never sampled.
         counts = []
         certify = disk_algebra.certify_sup_norm
         monkeypatch.setattr(
@@ -247,7 +249,7 @@ class TestLowerBounds:
         value, witness = knorm_lower(DIPOLE, 8)  # z wins, by |g_1| = tv = 2
         assert counts == [] and value == 2.0 and witness.degree == 1
         value, witness = composition_knorm_lower(D1, MobiusSelfMap(DiskPoint(0.5)), 8)
-        assert counts == [2 * default_sample_count(8)]
+        assert counts == [8 * default_sample_count(8)]
         assert value > 3.4 and witness.certified_sup == 1.0
 
     def test_search_clears_a_slow_scan_row(self):
@@ -333,34 +335,143 @@ def _oracle_problems(count: int, seed: int):
         yield g, d
 
 
+def _two_atom_mobius_problems(count: int, seed: int):
+    """Seeded (g, d): two random atoms under lambda_a with |a| = 0.83, at caps
+    16-32, a family on which some rounds use up their Newton steps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        mu = atomic_measure(list(zip(
+            rng.uniform(0.0, 2 * math.pi, 2),
+            rng.uniform(0.1, 1.0, 2) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 2)),
+        )))
+        a = 0.83 * np.exp(2j * math.pi * rng.uniform(0.0, 1.0))
+        d = int(rng.integers(16, 33))
+        yield composition_moments(mu, MobiusSelfMap(DiskPoint(complex(a))), d + 1), d
+
+
+def _recorded_searches(make_searches) -> list[tuple]:
+    """Runs ``make_searches()`` and returns, for each dual search it makes,
+    (g, d, the certified value, the barrier's b or None where the monomial
+    test skipped the solve), so that each search is solved only once."""
+    search, barrier = norm_engine._dual_search, norm_engine._barrier
+    records = []
+
+    def recording_search(g, d):
+        records.append([g.copy(), d, None, None])
+        value, b = search(g, d)
+        records[-1][2] = value
+        return value, b
+
+    def recording_barrier(g, d):
+        records[-1][3] = barrier(g, d)
+        return records[-1][3]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norm_engine, "_dual_search", recording_search)
+        patch.setattr(norm_engine, "_barrier", recording_barrier)
+        make_searches()
+    return [tuple(record) for record in records]
+
+
+@pytest.fixture(scope="module")
+def oracle_searches():
+    problems = list(_oracle_problems(150, 20261020))
+    return _recorded_searches(lambda: [norm_engine._dual_search(g, d) for g, d in problems])
+
+
+@pytest.fixture(scope="module")
+def standard_searches(tmp_path_factory):
+    """The dual searches that the seven commands make on the standard fixtures."""
+    out = tmp_path_factory.mktemp("reports")
+
+    def run_commands():
+        for command in COMMANDS:
+            assert run(RunConfig(command, output=str(out / f"{command}.json"))) == 0
+
+    return _recorded_searches(run_commands)
+
+
 class TestBarrierAgainstReference:
     """The barrier against ``reference_barrier``, a plain-step copy of it
     that starts at t = n / ||g|| and line-searches by re-evaluating F."""
 
     @staticmethod
-    def _values(g, d):
-        return _tight_value(_barrier(g, d), g)[0], _tight_value(reference_barrier(g, d), g)[0]
+    def _values(g, d, b):
+        return _tight_value(b, g)[0], _tight_value(reference_barrier(g, d), g)[0]
 
-    def test_random_problems_keep_the_reference_value(self):
-        for g, d in _oracle_problems(150, 20261020):
-            value, reference = self._values(g, d)
+    def test_random_problems_keep_the_reference_value(self, oracle_searches):
+        for g, d, _, b in oracle_searches:
+            value, reference = self._values(g, d, _barrier(g, d) if b is None else b)
             assert value >= reference * (1 - 1e-6), (d, value, reference)
 
-    def test_standard_searches_keep_the_reference_value(self, monkeypatch, tmp_path):
-        searches = []
-        barrier = norm_engine._barrier
-
-        def recording_barrier(g, d):
-            searches.append((g.copy(), d))
-            return barrier(g, d)
-
-        monkeypatch.setattr(norm_engine, "_barrier", recording_barrier)
-        for command in COMMANDS:
-            assert run(RunConfig(command, output=str(tmp_path / f"{command}.json"))) == 0
-        assert len(searches) >= 10
-        for g, d in searches:
-            value, reference = self._values(g, d)
+    def test_standard_searches_keep_the_reference_value(self, standard_searches):
+        solved = [(g, d, b) for g, d, _, b in standard_searches if b is not None]
+        assert len(solved) >= 10
+        for g, d, b in solved:
+            value, reference = self._values(g, d, b)
             assert value >= reference * (1 - 1e-7), (d, value, reference)
+
+
+class TestOneGridFloor:
+    """``_dual_search`` against ``single_grid_value``, the search with every
+    barrier round and the certificate on the 2 * ``default_sample_count``
+    grid: no certified value may fall below it, with no tolerance."""
+
+    def test_random_problems(self, oracle_searches):
+        for g, d, value, _ in oracle_searches:
+            assert value >= single_grid_value(g, d), d
+
+    def test_standard_searches(self, standard_searches):
+        assert len(standard_searches) >= 40
+        for g, d, value, _ in standard_searches:
+            assert value >= single_grid_value(g, d), d
+
+    def test_solves_end_on_a_centred_round(self, monkeypatch):
+        # A round that uses up its Newton steps keeps t and centres again,
+        # so the stop test only ever follows a centred round.
+        centre = norm_engine._centre
+        solves = []
+
+        def recording_centre(g, b, h, t):
+            out = centre(g, b, h, t)
+            solves[-1].append(out[2])
+            return out
+
+        monkeypatch.setattr(norm_engine, "_centre", recording_centre)
+        for g, d in _two_atom_mobius_problems(8, 17):
+            solves.append([])
+            value = _dual_search(g, d)[0]
+            assert not solves[-1] or solves[-1][-1] is True, (d, solves[-1])
+            assert value >= single_grid_value(g, d), d
+        assert any(False in rounds for rounds in solves)  # the family repeats a round
+
+    @pytest.mark.parametrize("d", [6, 8, 24, 32])
+    def test_rounds_that_cannot_stop_run_on_the_coarse_grid(self, monkeypatch, d):
+        g = composition_moments(D1, MobiusSelfMap(DiskPoint(0.5)), d + 1)
+        n = 2 * default_sample_count(d)
+        sizes, rounds = [], []  # transform sizes; (t on the n-node grid, sizes) per round
+        samples, fft, centre = norm_engine.circle_samples, np.fft.fft, norm_engine._centre
+
+        def recording_centre(g, b, h, t):
+            out = centre(g, b, h, t)
+            rounds.append((t * n / h.size, sizes[:]))
+            sizes.clear()
+            return out
+
+        monkeypatch.setattr(norm_engine, "circle_samples", lambda c, k: sizes.append(k) or samples(c, k))
+        monkeypatch.setattr(np.fft, "fft", lambda x: sizes.append(x.shape[-1]) or fft(x))
+        monkeypatch.setattr(norm_engine, "_centre", recording_centre)
+        b = _barrier(g, d)
+        monkeypatch.undo()
+        # A round can stop the solve only when 2n/t <= _DUAL_GAP ||g||_2, g
+        # scaled to max |g_m| = 1.
+        norm = float(np.linalg.norm(g) / np.abs(g).max())
+        can_stop = [2 * n <= norm_engine._DUAL_GAP * t * norm for t, _ in rounds]
+        assert not can_stop[0] and can_stop[-1]
+        for stop, (_, round_sizes) in zip(can_stop, rounds):
+            assert round_sizes and set(round_sizes) == {n if stop else n // 8}
+        assert sizes == []
+        assert float((1.0 - np.abs(n * np.fft.ifft(b, n)) ** 2).min()) > 0.0
 
 
 class TestMonomialCertificate:
