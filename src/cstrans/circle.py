@@ -4,10 +4,12 @@ Points of the open disk and the circle, the Möbius involutions
 ``lambda_a(z) = (a - z)/(1 - conj(a) z)``, and the equispaced quadrature
 grid that discretizes the normalized arc-length measure ``dm``.  The grid
 rule is the periodic trapezoid rule, which is spectrally accurate for
-integrands analytic in an annulus around the circle, so grids are doubled
-until two successive values agree.  The rule nests: the N nodes of a grid
-are the even nodes of the 2N grid, so each doubling evaluates the integrand
-only at the N new midpoints and averages the two rules,
+integrands analytic in an annulus around the circle: on s < |t| < 1/s its
+error falls like s^N, so grids are doubled until two successive values
+agree.  A caller picks the contour that makes s small; ``kernel_op``
+samples on shifted circles, where s = r/rho.  The rule nests: the N nodes
+of a grid are the even nodes of the 2N grid, so each doubling evaluates the
+integrand only at the N new midpoints and averages the two rules,
 T_2N = (T_N + M_N)/2 (Trefethen and Weideman, SIAM Review 56, 2014).
 
 The readers of JSON number literals live here too, so that every loader

@@ -2,12 +2,18 @@
 
 Three evaluation routes, cross-checked against each other in the tests:
 
-* quadrature (``p_phi_at``): sample the integrand on an equispaced grid,
-  ``_CHUNK`` nodes at a time, and average, doubling the grid until stable.
-  Each doubling samples only the new midpoints and averages the two rules.
-  Valid for any map at r < 1.  Each call checks r and zeta once; the nodes
-  r t then lie in the disk, so no chunk runs the closed-disk check of
-  ``self_map_eval`` or ``poly_eval`` (Möbius layers keep ``mobius_eval``'s).
+* quadrature (``p_phi_at``): the trapezoid rule on shifted circles, with h
+  sampled at rho t and phi at (r/rho) t, rho = 2^(1/max(1, deg h)),
+  ``_CHUNK`` nodes at a time, doubling the grid until stable.  The value is
+  the integral's, and the rule's error falls like (r/rho)^N instead of the
+  unit circle's r^N, so for h of degree up to 64 the doubling stops by
+  8192 nodes, mostly at 1024, even at r = 1 - 2^-20.  Each doubling
+  samples only the new midpoints and averages the two rules.  Valid for
+  any map at r < 1.  Each call checks r and zeta once; the nodes (r/rho) t
+  then lie in the disk, so no chunk runs the closed-disk check of
+  ``self_map_eval`` (Möbius layers keep ``mobius_eval``'s), and h goes
+  through ``horner``, since rho t lies outside the closed disk that
+  ``poly_eval`` accepts.
 * residue closed form (``p_lambda_closed_form``): for phi = lambda_a the
   integrand is rational in t with one pole at 0 and one at
   r (a - zeta)/(1 - zeta conj(a)) inside the circle, giving
@@ -33,10 +39,13 @@ rot * lambda_c o core, which routes every such map to an exact evaluation.
 Radial limits of anything else (multi-zero Blaschke products and maps
 composed over them) are chased by a radial sweep over the fixed radii
 r = 1 - 2^-k, k = 4..24, that stops once two successive quadrature values
-agree to 1e-9 and reports non-convergence rather than extrapolating, naming
-the radius where a quadrature grid gave out if one did.  It converges only
-where the value does not depend on r, as for h = 1, whose value is
-1/(1 - zeta conj(phi(0))) at every r by the mean value property.
+agree to 1e-9 and reports non-convergence rather than extrapolating.  It
+converges only where the value barely depends on r, as for h = 1, whose
+value is 1/(1 - zeta conj(phi(0))) at every r by the mean value property.
+The value of z^m is r^m times its limit, so successive radii differ by
+about m 2^-k times the limit, and the sweep reports that it did not
+stabilize by r = 1 - 2^-24; if a quadrature grid gives out first, the error
+names that radius instead.
 
 ``monomial_limit_evaluator`` gives the radial limits of the monomials at
 many boundary points: one row per point, the closed form's powers from one
@@ -112,16 +121,27 @@ def p_lambda_closed_form(a, h: DiskAlgebraPoly, zeta, r: float = 1.0) -> complex
 def p_phi_at(
     phi: DiskSelfMap, h: DiskAlgebraPoly, zeta, r: float, grid: QuadratureGrid
 ) -> complex:
-    """Single-grid quadrature of h(t) / (1 - zeta conj(phi(r t))) against dm."""
+    """Single-grid quadrature of h(t) / (1 - zeta conj(phi(r t))) against dm,
+    on shifted circles: the mean over the nodes t of
+    h(rho t) / (1 - zeta conj(phi((r/rho) t))), rho = 2^(1/max(1, deg h)).
+
+    Both integrals equal sum_j h_j conj(K_j), K = 1/(1 - conj(zeta) phi(r u)),
+    by Parseval, since K is analytic near the closed disk.  For N > deg h the
+    rule's error is the aliased Laurent terms t^-m, m >= N, which decay
+    like (r/rho)^N here instead of r^N.  rho^j <= 2 for j <= deg h, and
+    |K| on |u| = 1/rho is at most its maximum on the circle, so rounding
+    does not grow.
+    """
     zv = _as_unimodular(zeta)
     if not 0.0 < r < 1.0:
         raise ValueError("quadrature of the kernel requires 0 < r < 1")
+    rho = 2.0 ** (1.0 / max(1, h.degree))
     t = grid.nodes
     samples = np.empty_like(t)
     for lo in range(0, t.size, _CHUNK):
         part = t[lo : lo + _CHUNK]
-        denom = 1.0 - zv * np.conjugate(phi.eval_inner(r * part))
-        samples[lo : lo + _CHUNK] = horner(h.coeffs, part) / denom
+        denom = 1.0 - zv * np.conjugate(phi.eval_inner(r / rho * part))
+        samples[lo : lo + _CHUNK] = horner(h.coeffs, rho * part) / denom
     return grid_integrate(grid, samples)
 
 

@@ -25,6 +25,16 @@ class TestExitCodes:
         assert first["re"] == pytest.approx(2.0, abs=1e-12)
         assert first["abs_diff"] <= 1e-10
 
+    def test_kernel_compare_passes_close_to_the_circle(self, tmp_path):
+        # On the unit circle the rule's error would fall only like 0.9999^N,
+        # too slowly to stabilize within the 2^16-node cap.
+        case = {"a": [0.9, 0.0], "h": [[0.0, 0.0], [1.0, 0.0]], "zeta_angle": 0.3, "r": 0.9999}
+        out = tmp_path / "kc.json"
+        code = run(RunConfig("kernel-compare", fixtures=write_fixture(tmp_path, {"cases": [case]}),
+                             output=str(out)))
+        assert code == 0
+        assert json.loads(out.read_text())["pass"] is True
+
     def test_factorize_standard_passes(self, tmp_path):
         out = tmp_path / "fact.json"
         assert run(RunConfig("factorize", output=str(out))) == 0

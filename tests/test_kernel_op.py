@@ -16,7 +16,7 @@ from cstrans.circle import (
     refine_until_stable,
 )
 from cstrans import disk_algebra, kernel_op, self_maps
-from cstrans.disk_algebra import make_poly, poly_eval
+from cstrans.disk_algebra import horner, make_poly, monomial
 from cstrans.kernel_op import (
     limit_route,
     monomial_limit_evaluator,
@@ -58,14 +58,16 @@ def random_poly(rng, max_degree=16):
 
 
 def checked_p_phi_at(phi, h, zeta, r, grid):
-    """``p_phi_at`` through the checked ``self_map_eval`` and ``poly_eval``,
-    which run a closed-disk check on every chunk."""
+    """``p_phi_at`` on its shifted circles, with phi through the checked
+    ``self_map_eval``, which runs a closed-disk check on every chunk.  h is
+    evaluated by Horner at rho t, which ``poly_eval`` refuses as |rho t| > 1."""
+    rho = 2.0 ** (1.0 / max(1, h.degree))
     t = grid.nodes
     samples = np.empty_like(t)
     for lo in range(0, t.size, kernel_op._CHUNK):
         part = t[lo : lo + kernel_op._CHUNK]
-        denom = 1.0 - zeta.value * np.conjugate(self_map_eval(phi, r * part))
-        samples[lo : lo + kernel_op._CHUNK] = poly_eval(h, part) / denom
+        denom = 1.0 - zeta.value * np.conjugate(self_map_eval(phi, (r / rho) * part))
+        samples[lo : lo + kernel_op._CHUNK] = horner(h.coeffs, rho * part) / denom
     return grid_integrate(grid, samples)
 
 
@@ -168,7 +170,7 @@ class TestQuadrature:
         assert p_phi_at(phi, h, ONE, 0.9, QuadratureGrid(512)) == want
 
     def test_every_refinement_grid_is_unimodular(self):
-        # So r t lies in the disk for 0 < r < 1, which p_phi_at relies on.
+        # So (r/rho) t lies in the disk for 0 < r < 1, which p_phi_at relies on.
         grids = []
 
         def never_stable(grid):
@@ -198,7 +200,52 @@ class TestQuadrature:
             want = p_phi_at(phi, h, zeta, r, QuadratureGrid(n))
             assert abs(got - want) <= 1e-14 * abs(want)
             sizes.add(n)
-        assert max(sizes) == 1 << 16 and min(sizes) <= 1024
+        assert min(sizes) <= 1024
+
+    def test_nested_refinement_matches_the_single_grid_rule_on_the_largest_grid(self):
+        # 1/(1 - s/t) has dm-integral 1, and its N-node rule is 1/(1 - s^N),
+        # so for this s the doubling stops on the largest grid it allows.
+        s = math.exp(-0.0012)
+
+        def slow(grid):
+            return grid_integrate(grid, 1.0 / (1.0 - s / grid.nodes))
+
+        got, n = refine_until_stable(slow)
+        assert n == 1 << 16
+        want = slow(QuadratureGrid(n))
+        assert abs(got - want) <= 1e-14 * abs(want)
+        assert abs(got - 1.0) <= 1e-12
+
+
+def _shifted_circle_cases(count, seed):
+    """Seeded Möbius, polynomial and composed maps with |a| up to 0.999, h in
+    the unit ball of degree 0 to 64, and r = 1 - 2^-k for k in [1, 20]."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        a = DiskPoint(0.999 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        poly = _unit_sum_core(rng, int(rng.integers(1, 5)), rng.uniform(0.3, 1.0))
+        phi = (MobiusSelfMap(a), poly, ComposedMap(a, poly))[i % 3]
+        h = sample_unit_ball(int(rng.integers(0, 65)), int(rng.integers(1 << 30)))
+        yield phi, h, CirclePoint(rng.uniform(0, 2 * np.pi)), 1.0 - 2.0 ** -rng.uniform(1, 20)
+
+
+class TestShiftedCircles:
+    def test_stable_values_match_the_exact_route_within_8192_nodes(self, monkeypatch):
+        # On the unit circle the rule converges like r^N, so r near 1 needs
+        # far more nodes; on the shifted circles like (r/rho)^N.
+        sizes = []
+
+        def recorded(evaluate):
+            value, n = refine_until_stable(evaluate)
+            sizes.append(n)
+            return value, n
+
+        monkeypatch.setattr(kernel_op, "refine_until_stable", recorded)
+        for phi, h, zeta, r in _shifted_circle_cases(300, 25):
+            got = p_phi_at_stable(phi, h, zeta, r)
+            want = p_phi_exact_at(phi, h, zeta, r)
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert len(sizes) == 300 and max(sizes) <= 8192
 
 
 class TestSeriesRoute:
@@ -282,8 +329,6 @@ class TestRadialLimit:
 
 class TestMonomialLimits:
     def test_matches_per_monomial_calls(self):
-        from cstrans.disk_algebra import monomial
-
         zeta = CirclePoint(0.7)
         for phi in (mobius(0.4), PolynomialMap((0.25, 0.0, 0.5))):
             batch = monomial_radial_limits(phi, 6, zeta)
@@ -302,14 +347,40 @@ class TestMonomialLimits:
             assert abs(got[0] - want) <= 1e-12
 
     def test_sweep_reports_nonconvergence_for_z(self):
-        # The sweep's own error names the radius where its quadrature gave out.
+        # The value of z moves by about 2^-k between radii, so the sweep
+        # runs out of radii; its error names the last one.
         b = BlaschkeMap((DiskPoint(0.3), DiskPoint(-0.4j)), 1.0)
         message = (
-            r"^radial sweep did not stabilize: its quadrature gave out at r = 1 - 2\^-\d+"
+            r"^radial sweep did not stabilize to 1e-09 by r = 1 - 2\^-24"
             r" \(boundary-contact map: limit not guaranteed\)$"
         )
         with pytest.raises(NonConvergenceError, match=message):
             monomial_radial_limits(b, 2, CirclePoint(0.7))
+
+    def test_sweep_fails_on_products_of_two_to_four_zeros(self):
+        # The value of z^m at radius r is r^m times its limit, which the
+        # sweep cannot tell from r = 1 unless the limit nearly vanishes.
+        rng = np.random.default_rng(25)
+        message = r"^radial sweep did not stabilize to 1e-09 by r = 1 - 2\^-24 "
+        for _ in range(200):
+            zeros = tuple(DiskPoint(rng.uniform(0, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+                          for _ in range(int(rng.integers(2, 5))))
+            b = BlaschkeMap(zeros, np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            with pytest.raises(NonConvergenceError, match=message):
+                monomial_radial_limits(b, 3, CirclePoint(rng.uniform(0, 2 * np.pi)))
+
+    def test_kept_failing_sweeps_miss_the_tolerance_by_a_margin(self):
+        # The two products whose sweeps the benchmark counts as failing:
+        # their last step is over ten times the sweep's tolerance.
+        k_max = kernel_op._SWEEP_K_MAX
+        for zeros, angle in (((0.3, -0.4j), 0.7), ((0.5j, -0.2), 2.2)):
+            b = BlaschkeMap(tuple(map(DiskPoint, zeros)), 1.0)
+            zeta = CirclePoint(angle)
+            with pytest.raises(NonConvergenceError, match=r"by r = 1 - 2\^-24 "):
+                monomial_radial_limits(b, 2, zeta)
+            last, prev = (p_phi_at_stable(b, monomial(1), zeta, kernel_op._SWEEP_RADII[k])
+                          for k in (k_max, k_max - 1))
+            assert abs(last - prev) >= 10 * kernel_op._SWEEP_TOL
 
 
 def _outer_matrix_and_core(phi):
@@ -459,7 +530,7 @@ class TestBatchedEvaluator:
     def test_two_zero_blaschke_still_raises_naming_the_radius(self):
         b = BlaschkeMap((DiskPoint(0.3), DiskPoint(-0.4j)), 1.0)
         limits = monomial_limit_evaluator(b, 2)
-        with pytest.raises(NonConvergenceError, match=r"quadrature gave out at r = 1 - 2\^-11 "):
+        with pytest.raises(NonConvergenceError, match=r"did not stabilize to 1e-09 by r = 1 - 2\^-24 "):
             limits(np.array([CirclePoint(0.7).value]))
 
 
